@@ -12,13 +12,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 from math import fsum
 
 import numpy as np
 
 from .fiber_linalg import (
     assemble_schrodinger,
+    fibers,
     hermitian_eigen,
     hermitian_eigen_batch,
     potential_vector,
@@ -56,12 +56,6 @@ class BZGrid:
         k = self.points_per_axis
         grids = np.indices((k,) * self.dimension).reshape(self.dimension, -1).T
         return grids * (2.0 * np.pi / k)
-
-    def points(self):
-        """Grid points one at a time, in the same row-major order."""
-        step = 2.0 * np.pi / self.points_per_axis
-        for ks in product(range(self.points_per_axis), repeat=self.dimension):
-            yield step * np.array(ks, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -113,59 +107,24 @@ def _worker_count() -> int:
         return 1
 
 
-def _batch_fibers(
-    graph: FundamentalGraph, q: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """Fiber matrices H(theta) for every row of thetas, shape (m, nu, nu)."""
-    pos = graph.position
-    deg = graph.degrees
-    roots = np.sqrt(np.array([deg[v.id] for v in graph.vertices], dtype=float))
-    m = thetas.shape[0]
-    a = np.zeros((m, graph.order, graph.order), dtype=complex)
-    idx = np.arange(graph.order)
-    a[:, idx, idx] = 1.0 + q[np.newaxis, :]
-    for e in graph.edges:
-        i, j = pos[e.tail], pos[e.head]
-        angles = thetas @ np.asarray(e.index, dtype=float)
-        if i == j:
-            a[:, i, i] -= 2.0 * np.cos(angles) / (roots[i] * roots[i])
-        else:
-            w = np.exp(-1j * angles) / (roots[i] * roots[j])
-            a[:, i, j] -= w
-            a[:, j, i] -= w.conjugate()
-    return a
-
-
 def grid_eigenvalues(graph: FundamentalGraph, Q, grid: BZGrid) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, in grid index order."""
-    q = potential_vector(graph, Q)
+    diagonal = 1.0 + potential_vector(graph, Q)
     thetas = grid.thetas()
-    return _eigenvalue_table(graph, q, thetas)
-
-
-def _eigenvalue_table(
-    graph: FundamentalGraph, q: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
     chunks = [
         thetas[start : start + _CHUNK]
         for start in range(0, thetas.shape[0], _CHUNK)
     ]
+
+    def solve(chunk: np.ndarray) -> np.ndarray:
+        return hermitian_eigen_batch(fibers(graph, chunk, diagonal))
+
     workers = min(_worker_count(), len(chunks))
     if workers <= 1:
-        parts = [
-            hermitian_eigen_batch(_batch_fibers(graph, q, chunk))
-            for chunk in chunks
-        ]
+        parts = [solve(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda chunk: hermitian_eigen_batch(
-                        _batch_fibers(graph, q, chunk)
-                    ),
-                    chunks,
-                )
-            )
+            parts = list(pool.map(solve, chunks))
     return np.vstack(parts)
 
 
@@ -178,7 +137,13 @@ def compute_bands(
     flat bands (values within flat_tol on consecutive branches) are grouped
     into one flat band with a multiplicity.
     """
-    table = grid_eigenvalues(graph, Q, grid)
+    return bands_from_table(grid_eigenvalues(graph, Q, grid), grid, flat_tol)
+
+
+def bands_from_table(
+    table: np.ndarray, grid: BZGrid, flat_tol: float = FLAT_TOL
+) -> BandStructure:
+    """Band structure of a grid_eigenvalues table, as in compute_bands."""
     lo = table.min(axis=0)
     hi = table.max(axis=0)
     bands = tuple(

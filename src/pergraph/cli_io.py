@@ -21,6 +21,7 @@ from .band_analysis import (
     BandStructure,
     BZGrid,
     EffectiveMassError,
+    bands_from_table,
     compute_bands,
     effective_mass,
     gaps,
@@ -28,7 +29,7 @@ from .band_analysis import (
     spectrum_union,
 )
 from .catalog import FAMILIES, generate
-from .estimates import build_report, check_first_band, perron_ground_state
+from .estimates import _first_band, build_report, perron_ground_state
 from .fiber_linalg import (
     assemble_laplacian,
     assemble_nabla,
@@ -58,13 +59,6 @@ class GraphFile:
 
     graph: FundamentalGraph
     description: PeriodicDescription | None
-
-
-@dataclass(frozen=True)
-class ReportFile:
-    """Report payload ready for JSON serialization."""
-
-    data: dict
 
 
 def _round15(x: float) -> float:
@@ -372,7 +366,7 @@ def write_path_csv(graph: FundamentalGraph, q, thetas: np.ndarray, out) -> None:
         )
 
 
-def _write_json(payload: dict, path: str | None) -> None:
+def _write_json(payload, path: str | None) -> None:
     text = json.dumps(_jsonable(payload), indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -434,9 +428,8 @@ def _cmd_bands(args) -> int:
 def _cmd_report(args) -> int:
     graph, q = _load(args)
     report = build_report(graph, q, _grid(args, graph.dimension))
-    payload = ReportFile(_jsonable(report)).data
     if args.json:
-        _write_json(payload, args.json)
+        _write_json(report, args.json)
     for name, verdict in report.verdicts.items():
         if verdict is None:
             status = "not applicable"
@@ -553,10 +546,12 @@ def _cmd_check(args) -> int:
         print(f"FAIL: Laplacian range [{low:.6f}, {high:.6f}] outside [0, 2]")
         failures += 1
 
+    laplacian_bands = bands_from_table(table, grid)
     band_failures = 0
     for _ in range(args.trials):
         trial_q = rng.uniform(-1.0, 1.0, graph.order)
-        if not check_first_band(graph, trial_q, grid)["passed"]:
+        bands = compute_bands(graph, trial_q, grid)
+        if not _first_band(graph, trial_q, bands, laplacian_bands)["passed"]:
             band_failures += 1
     if band_failures == 0:
         print(f"ok: first band estimate ({args.trials} random potentials)")

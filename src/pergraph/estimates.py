@@ -19,6 +19,7 @@ from .band_analysis import (
     BandStructure,
     BZGrid,
     EffectiveMassError,
+    bands_from_table,
     compute_bands,
     effective_mass,
     gaps,
@@ -26,6 +27,7 @@ from .band_analysis import (
     spectrum_union,
 )
 from .fiber_linalg import (
+    _degree_roots,
     assemble_laplacian,
     assemble_schrodinger,
     fiber_offset,
@@ -74,9 +76,7 @@ def perron_ground_state(
 
 def perron_contrast(graph: FundamentalGraph, psi: np.ndarray) -> float:
     """Constant c0: spread of the ground state relative to sqrt(degree)."""
-    deg = graph.degrees
-    roots = np.sqrt(np.array([deg[v.id] for v in graph.vertices], dtype=float))
-    ratios = psi / roots
+    ratios = psi / _degree_roots(graph)
     return float(np.max(ratios) / np.min(ratios))
 
 
@@ -84,10 +84,16 @@ def check_measure_bound(
     graph: FundamentalGraph, Q, grid: BZGrid, slack: float = SLACK
 ) -> dict:
     """Chain |sigma(H)| <= sum of band lengths <= 2 Tr B(0) <= 2 zeta."""
-    bands = compute_bands(graph, Q, grid)
+    q = potential_vector(graph, Q)
+    return _measure_bound(graph, q, compute_bands(graph, q, grid), slack)
+
+
+def _measure_bound(
+    graph: FundamentalGraph, q: np.ndarray, bands: BandStructure, slack: float = SLACK
+) -> dict:
     union = spectrum_union(bands)
     band_sum = fsum(b.width for b in bands.bands)
-    bridge_at_zero, _ = fiber_offset(graph, np.zeros(graph.dimension), Q)
+    bridge_at_zero, _ = fiber_offset(graph, np.zeros(graph.dimension), q)
     trace_bound = 2.0 * float(np.abs(bridge_at_zero).sum())
     two_zeta = 2.0 * zeta(graph).value
     passed = (
@@ -114,12 +120,21 @@ def check_gap_sum(
     floor |top of sigma(Laplacian) - (max Q - min Q)|.
     """
     q = potential_vector(graph, Q)
-    bands = compute_bands(graph, q, grid)
+    laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
+    return _gap_sum(graph, q, compute_bands(graph, q, grid), laplacian_bands, slack)
+
+
+def _gap_sum(
+    graph: FundamentalGraph,
+    q: np.ndarray,
+    bands: BandStructure,
+    laplacian_bands: BandStructure,
+    slack: float = SLACK,
+) -> dict:
     gap_list = gaps(bands)
     gap_sum = fsum(hi - lo for lo, hi in gap_list)
     span = bands.bands[-1].lambda_max - bands.bands[0].lambda_min
     two_zeta = 2.0 * zeta(graph).value
-    laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
     laplacian_top = laplacian_bands.bands[-1].lambda_max
     span_floor = abs(laplacian_top - (float(q.max()) - float(q.min())))
     passed = gap_sum >= span - two_zeta - slack and span >= span_floor - slack
@@ -143,10 +158,21 @@ def check_first_band(
     width of the first Laplacian band, and must not collapse to a point.
     """
     q = potential_vector(graph, Q)
+    laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
+    return _first_band(graph, q, compute_bands(graph, q, grid), laplacian_bands, slack)
+
+
+def _first_band(
+    graph: FundamentalGraph,
+    q: np.ndarray,
+    bands: BandStructure,
+    laplacian_bands: BandStructure,
+    slack: float = SLACK,
+) -> dict:
     _, psi = perron_ground_state(graph, q)
     c0 = perron_contrast(graph, psi)
-    width_h = compute_bands(graph, q, grid).bands[0].width
-    width_d = compute_bands(graph, np.zeros(graph.order), grid).bands[0].width
+    width_h = bands.bands[0].width
+    width_d = laplacian_bands.bands[0].width
     lower = width_d / (c0 * c0)
     upper = width_d * (c0 * c0)
     passed = (
@@ -206,12 +232,18 @@ def check_loop_graph(
     Left endpoints must equal the eigenvalues at theta = 0. When an exact
     quasimomentum theta0 exists, right endpoints must equal the eigenvalues at
     theta0 and the band lengths must sum to 2 zeta; if additionally all
-    bridges sit at one vertex, the spectrum measure equals that sum.
+    bridges sit at one vertex, the spectrum measure equals the summed length
+    of the non-flat bands (flat bands carry no measure, however narrow).
     """
     if not is_loop_graph(graph):
         raise GraphError("check_loop_graph requires a loop graph")
     q = potential_vector(graph, Q)
-    bands = compute_bands(graph, q, grid)
+    return _loop_graph(graph, q, compute_bands(graph, q, grid), slack)
+
+
+def _loop_graph(
+    graph: FundamentalGraph, q: np.ndarray, bands: BandStructure, slack: float = SLACK
+) -> dict:
     at_zero = hermitian_eigen(
         assemble_schrodinger(graph, q, np.zeros(graph.dimension)),
         with_vectors=False,
@@ -222,6 +254,7 @@ def check_loop_graph(
 
     theta0 = exact_quasimomentum(graph)
     band_sum = fsum(b.width for b in bands.bands)
+    nonflat_sum = fsum(b.width for b in bands.bands if not b.flat)
     two_zeta = 2.0 * zeta(graph).value
     right_defect = None
     sum_defect = None
@@ -239,7 +272,7 @@ def check_loop_graph(
     single_vertex = len(bridge_tails) <= 1
     measure_defect = None
     if single_vertex:
-        measure_defect = abs(spectrum_union(bands).measure - band_sum)
+        measure_defect = abs(spectrum_union(bands).measure - nonflat_sum)
 
     defects = [left_defect, right_defect, sum_defect, measure_defect]
     passed = all(d is None or d <= slack for d in defects)
@@ -251,6 +284,7 @@ def check_loop_graph(
         "left_defect": left_defect,
         "right_defect": right_defect,
         "band_length_sum": band_sum,
+        "nonflat_length_sum": nonflat_sum,
         "two_zeta": two_zeta,
         "sum_defect": sum_defect,
         "measure_defect": measure_defect,
@@ -285,8 +319,19 @@ def check_bipartite(
     even though its quotient is not bipartite; its band endpoints must then be
     the eigenvalues of the zero fiber and of its reflection about 1.
     """
+    table = grid_eigenvalues(graph, np.zeros(graph.order), grid)
+    laplacian_bands = bands_from_table(table, grid, flat_tol)
+    return _bipartite(graph, table, laplacian_bands, slack, flat_tol)
+
+
+def _bipartite(
+    graph: FundamentalGraph,
+    table: np.ndarray,
+    laplacian_bands: BandStructure,
+    slack: float = SLACK,
+    flat_tol: float = FLAT_TOL,
+) -> dict:
     parts = is_bipartite(graph)
-    zeros = np.zeros(graph.order)
     result: dict = {
         "bipartite": parts is not None,
         "parts": parts,
@@ -296,14 +341,12 @@ def check_bipartite(
     checks: list[bool] = []
     if parts is not None:
         result["applicable"] = True
-        table = grid_eigenvalues(graph, zeros, grid)
         symmetry_defect = float(
             np.max(np.abs(table + table[:, ::-1] - 2.0))
         )
         result["symmetry_defect"] = symmetry_defect
         checks.append(symmetry_defect <= slack)
 
-        laplacian_bands = compute_bands(graph, zeros, grid, flat_tol)
         difference = abs(len(parts[0]) - len(parts[1]))
         result["part_difference"] = difference
         if difference > 0:
@@ -323,7 +366,6 @@ def check_bipartite(
 
     if _lattice_like(graph):
         result["applicable"] = True
-        laplacian_bands = compute_bands(graph, zeros, grid, flat_tol)
         mu = hermitian_eigen(
             assemble_laplacian(graph, np.zeros(graph.dimension)),
             with_vectors=False,
@@ -368,17 +410,22 @@ class SpectralReport:
 
 
 def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
-    """Run every applicable checker and collect the numbers."""
+    """Run every applicable checker and collect the numbers.
+
+    H and the Laplacian are each swept once; every checker reads those tables.
+    """
     q = potential_vector(graph, Q)
     bands = compute_bands(graph, q, grid)
+    laplacian_table = grid_eigenvalues(graph, np.zeros(graph.order), grid)
+    laplacian_bands = bands_from_table(laplacian_table, grid)
     union = spectrum_union(bands)
-    measure = check_measure_bound(graph, q, grid)
-    gap = check_gap_sum(graph, q, grid)
-    first = check_first_band(graph, q, grid)
+    measure = _measure_bound(graph, q, bands)
+    gap = _gap_sum(graph, q, bands, laplacian_bands)
+    first = _first_band(graph, q, bands, laplacian_bands)
     mass = check_effective_mass_bound(graph, q)
     loop = is_loop_graph(graph)
-    loop_result = check_loop_graph(graph, q, grid) if loop else None
-    bipartite_result = check_bipartite(graph, q, grid)
+    loop_result = _loop_graph(graph, q, bands) if loop else None
+    bipartite_result = _bipartite(graph, laplacian_table, laplacian_bands)
     verdicts = {
         "measure_bound": measure["passed"],
         "gap_sum": gap["passed"],

@@ -1,10 +1,11 @@
 """Fiber operators over the quasimomentum torus and a Hermitian eigensolver.
 
-The Laplacian fiber matrix is assembled entrywise: the diagonal holds
-1 - (1/kappa_u) * sum over directed loops at u of cos(<index, theta>), the
-off-diagonal entry (u, v) holds minus the sum over stored representatives
-between u and v of exp(-i <index, theta>) / sqrt(kappa_u kappa_v), with the
-conjugate accumulated symmetrically so the result is exactly Hermitian.
+`fibers` is the single assembler of the fiber matrices, for grid sweeps and
+single points alike. It starts from a diagonal (1 + Q for H) and subtracts, per
+edge, 2 cos(<index, theta>) / kappa_u on the diagonal for a loop at u, or
+exp(-i <index, theta>) / sqrt(kappa_u kappa_v) at (u, v) and its conjugate at
+(v, u) for a representative between u and v, so the result is exactly
+Hermitian.
 
 The eigensolver is a cyclic Jacobi iteration with complex rotations,
 implemented here rather than delegated: fiber matrices are tiny and the
@@ -68,29 +69,39 @@ def potential_vector(graph: FundamentalGraph, Q) -> np.ndarray:
     return q
 
 
-def assemble_laplacian(graph: FundamentalGraph, theta) -> np.ndarray:
-    """Hermitian Laplacian fiber matrix at quasimomentum theta."""
-    t = _theta_vector(graph, theta)
+def fibers(graph: FundamentalGraph, thetas, diagonal, edges=None) -> np.ndarray:
+    """Fiber matrices for every row of thetas, shape (m, nu, nu).
+
+    `diagonal` is a scalar or one value per vertex; `edges` defaults to every
+    edge, and edges are subtracted in the order given.
+    """
+    thetas = np.asarray(thetas, dtype=float)
     pos = graph.position
     roots = _degree_roots(graph)
-    a = np.eye(graph.order, dtype=complex)
-    for e in graph.edges:
+    a = np.zeros((thetas.shape[0], graph.order, graph.order), dtype=complex)
+    idx = np.arange(graph.order)
+    a[:, idx, idx] = diagonal
+    for e in graph.edges if edges is None else edges:
         i, j = pos[e.tail], pos[e.head]
-        angle = float(np.dot(e.index, t))
+        angles = thetas @ np.asarray(e.index, dtype=float)
         if i == j:
-            a[i, i] -= 2.0 * math.cos(angle) / (roots[i] * roots[i])
+            a[:, i, i] -= 2.0 * np.cos(angles) / (roots[i] * roots[i])
         else:
-            w = complex(math.cos(angle), -math.sin(angle)) / (roots[i] * roots[j])
-            a[i, j] -= w
-            a[j, i] -= w.conjugate()
+            w = np.exp(-1j * angles) / (roots[i] * roots[j])
+            a[:, i, j] -= w
+            a[:, j, i] -= w.conjugate()
     return a
+
+
+def assemble_laplacian(graph: FundamentalGraph, theta) -> np.ndarray:
+    """Hermitian Laplacian fiber matrix at quasimomentum theta."""
+    return fibers(graph, [_theta_vector(graph, theta)], 1.0)[0]
 
 
 def assemble_schrodinger(graph: FundamentalGraph, Q, theta) -> np.ndarray:
     """Laplacian fiber plus the diagonal potential."""
-    a = assemble_laplacian(graph, theta)
-    a[np.diag_indices_from(a)] += potential_vector(graph, Q)
-    return a
+    t = _theta_vector(graph, theta)
+    return fibers(graph, [t], 1.0 + potential_vector(graph, Q))[0]
 
 
 def assemble_nabla(graph: FundamentalGraph, theta) -> np.ndarray:
@@ -113,24 +124,6 @@ def assemble_nabla(graph: FundamentalGraph, theta) -> np.ndarray:
     return n
 
 
-def _bridge_part(graph: FundamentalGraph, t: np.ndarray) -> np.ndarray:
-    pos = graph.position
-    roots = _degree_roots(graph)
-    h = np.zeros((graph.order, graph.order), dtype=complex)
-    for e in graph.edges:
-        if not e.is_bridge:
-            continue
-        i, j = pos[e.tail], pos[e.head]
-        angle = float(np.dot(e.index, t))
-        if i == j:
-            h[i, i] -= 2.0 * math.cos(angle) / (roots[i] * roots[i])
-        else:
-            w = complex(math.cos(angle), -math.sin(angle)) / (roots[i] * roots[j])
-            h[i, j] -= w
-            h[j, i] -= w.conjugate()
-    return h
-
-
 def fiber_offset(
     graph: FundamentalGraph, theta, Q=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +132,10 @@ def fiber_offset(
     h(theta) collects only bridge contributions, so H0 = H(theta) - h(theta)
     does not depend on theta. On a loop graph h(theta) is diagonal.
     """
-    t = _theta_vector(graph, theta)
-    h = _bridge_part(graph, t)
-    h0 = assemble_schrodinger(graph, Q, np.zeros(graph.dimension))
-    h0 -= _bridge_part(graph, np.zeros(graph.dimension))
-    return h, h0
+    zero = np.zeros(graph.dimension)
+    bridge_edges = [e for e in graph.edges if e.is_bridge]
+    h, h_at_zero = fibers(graph, [_theta_vector(graph, theta), zero], 0.0, bridge_edges)
+    return h, assemble_schrodinger(graph, Q, zero) - h_at_zero
 
 
 def _offdiagonal_max(a: np.ndarray) -> float:

@@ -14,12 +14,14 @@ from pergraph import (
     check_loop_graph,
     check_measure_bound,
     generate,
+    is_loop_graph,
     perron_contrast,
     perron_ground_state,
     zeta,
 )
+from pergraph import band_analysis, estimates
 
-from conftest import even_loop_line, single_loop_plane
+from conftest import CATALOG_SAMPLE, even_loop_line, single_loop_plane
 
 
 def test_perron_ground_state_lattice():
@@ -132,6 +134,21 @@ def test_loop_graph_endpoints_on_star(rng):
     assert abs(result["band_length_sum"] - result["two_zeta"]) < 1e-9
 
 
+def test_loop_graph_measure_ignores_near_flat_band():
+    # Pendant potentials 0.030044 and 0.029973 make one band 5e-9 wide, below
+    # FLAT_TOL: the union drops it, so the measure matches only the non-flat
+    # widths, while the band lengths including it still sum to 2 zeta.
+    g = generate("star_decorated", d=2, nu=8)
+    draws = np.random.default_rng(877946993)
+    for _ in range(16):
+        q = draws.uniform(-1, 1, 8)
+    result = check_loop_graph(g, q, BZGrid(2, 32))
+    assert result["passed"]
+    assert result["measure_defect"] <= 1e-12
+    assert result["sum_defect"] < 1e-9
+    assert result["band_length_sum"] - result["nonflat_length_sum"] > 1e-9
+
+
 def test_loop_graph_on_lattice():
     result = check_loop_graph(generate("lattice", d=3), np.zeros(1), BZGrid(3, 4))
     assert result["passed"]
@@ -213,3 +230,57 @@ def test_build_report_fcc():
     assert report.verdicts["bipartite"] is None
     assert report.verdicts["measure_bound"]
     assert report.verdicts["gap_sum"]
+
+
+# build_report hands each checker body the tables it sweeps once; the public
+# check_* sweep their own.
+CHECKER_BODIES = {
+    "_measure_bound": check_measure_bound,
+    "_gap_sum": check_gap_sum,
+    "_first_band": check_first_band,
+    "_loop_graph": check_loop_graph,
+    "_bipartite": check_bipartite,
+}
+
+
+def _report_grid(g):
+    return BZGrid(g.dimension, 4 if g.dimension == 3 else 8)
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_build_report_checkers_match_public_checks(monkeypatch, rng, name, kw):
+    g = generate(name, **kw)
+    q = rng.uniform(-1, 1, g.order)
+    grid = _report_grid(g)
+    seen = {}
+    for body in CHECKER_BODIES:
+        original = getattr(estimates, body)
+
+        def record(*args, _body=body, _original=original):
+            seen[_body] = _original(*args)
+            return seen[_body]
+
+        monkeypatch.setattr(estimates, body, record)
+    build_report(g, q, grid)
+    monkeypatch.undo()
+    skipped = set() if is_loop_graph(g) else {"_loop_graph"}
+    assert set(seen) == set(CHECKER_BODIES) - skipped
+    for body, result in seen.items():
+        # repr spells floats exactly, so equal text means equal bits
+        assert repr(result) == repr(CHECKER_BODIES[body](g, q, grid))
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_build_report_sweeps_each_operator_once(monkeypatch, rng, name, kw):
+    g = generate(name, **kw)
+    calls = []
+    original = band_analysis.grid_eigenvalues
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(band_analysis, "grid_eigenvalues", counted)
+    monkeypatch.setattr(estimates, "grid_eigenvalues", counted)
+    build_report(g, rng.uniform(-1, 1, g.order), _report_grid(g))
+    assert len(calls) == 2

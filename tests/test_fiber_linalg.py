@@ -18,6 +18,7 @@ from pergraph import (
     hermitian_eigen_batch,
     potential_vector,
 )
+from pergraph.fiber_linalg import fibers
 
 from conftest import CATALOG_SAMPLE, chain_description
 from oracles import bisect_eigenvalues, random_hermitian
@@ -104,6 +105,18 @@ def test_fiber_offset_splits_bridge_part(rng):
         # the frozen part carries no quasimomentum dependence
         moving2, frozen2 = fiber_offset(g, np.zeros(g.dimension), q)
         assert np.array_equal(frozen, frozen2)
+
+
+def test_fibers_stack_matches_single_points(rng):
+    for g in all_sample_graphs():
+        q = rng.uniform(-1, 1, g.order)
+        thetas = rng.uniform(-math.pi, math.pi, (5, g.dimension))
+        stack = fibers(g, thetas, 1.0 + q)
+        assert stack.shape == (5, g.order, g.order)
+        for theta, fiber in zip(thetas, stack):
+            assert np.allclose(
+                fiber, assemble_schrodinger(g, q, theta), rtol=0.0, atol=1e-15
+            )
 
 
 def test_gauge_invariance_of_spectrum(rng):
