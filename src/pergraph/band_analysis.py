@@ -3,14 +3,12 @@
 Band endpoints are grid minima and maxima of the sorted fiber eigenvalues.
 The grid always contains both 0 and the half-turn point, where the extrema of
 all catalog families are attained, so endpoints there are exact up to solver
-rounding. Grid evaluation runs in deterministic grid-index order regardless
-of the worker count, so results are bit-stable.
+rounding. Grid evaluation runs in deterministic grid-index order, so results
+are bit-stable.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
@@ -99,33 +97,16 @@ class EffectiveMass:
     mass: np.ndarray
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PERGRAPH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def grid_eigenvalues(graph: FundamentalGraph, Q, grid: BZGrid) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, in grid index order."""
     diagonal = 1.0 + potential_vector(graph, Q)
     thetas = grid.thetas()
-    chunks = [
-        thetas[start : start + _CHUNK]
-        for start in range(0, thetas.shape[0], _CHUNK)
-    ]
-
-    def solve(chunk: np.ndarray) -> np.ndarray:
-        return hermitian_eigen_batch(fibers(graph, chunk, diagonal))
-
-    workers = min(_worker_count(), len(chunks))
-    if workers <= 1:
-        parts = [solve(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve, chunks))
-    return np.vstack(parts)
+    return np.vstack(
+        [
+            hermitian_eigen_batch(fibers(graph, thetas[i : i + _CHUNK], diagonal))
+            for i in range(0, len(thetas), _CHUNK)
+        ]
+    )
 
 
 def compute_bands(

@@ -34,7 +34,8 @@ from .fiber_linalg import (
     assemble_laplacian,
     assemble_nabla,
     assemble_schrodinger,
-    hermitian_eigen,
+    fibers,
+    hermitian_eigen_batch,
     potential_vector,
 )
 from .graph_core import (
@@ -116,6 +117,17 @@ def _int_tuple(value, length: int, name: str, where: str) -> tuple:
     return tuple(out)
 
 
+def _potential(value, vertex, where: str) -> float:
+    # the bound keeps q**2, and with it the Frobenius norm of H, finite
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= 1e150):
+        raise InputError(
+            f"potential {value!r} of vertex {vertex!r} in {where} must be a "
+            "finite number of magnitude at most 1e150"
+        )
+    return float(value)
+
+
 def read_graph(path: str) -> GraphFile:
     """Load a graph file, deriving indices from bonds when given."""
     try:
@@ -139,12 +151,9 @@ def read_graph(path: str) -> GraphFile:
         if not isinstance(entry, dict):
             raise InputError(f"each vertex in {path} must be an object")
         _expect_keys(entry, {"id", "potential"}, f"{path} vertices")
-        potential = entry.get("potential", 0.0)
-        if isinstance(potential, bool) or not isinstance(potential, (int, float)):
-            raise InputError(f"potential in {path} must be a number")
-        vertices.append(
-            Vertex(_vertex_id(entry.get("id"), path), float(potential))
-        )
+        vertex = _vertex_id(entry.get("id"), path)
+        potential = _potential(entry.get("potential", 0.0), vertex, path)
+        vertices.append(Vertex(vertex, potential))
 
     has_edges = "edges" in data
     has_bonds = "bonds" in data
@@ -230,8 +239,7 @@ def read_potential(path: str, graph: FundamentalGraph) -> np.ndarray:
     for key in data:
         if key not in known:
             raise InputError(f"{path} names unknown vertex {key!r}")
-        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
-            raise InputError(f"{path} value for {key!r} must be a number")
+        _potential(data[key], key, path)
     return np.array(
         [float(data.get(str(v.id), 0.0)) for v in graph.vertices], dtype=float
     )
@@ -344,6 +352,8 @@ def parse_path(text: str, dimension: int) -> np.ndarray:
         raise InputError("path must contain '..' between endpoints")
     start = [_parse_angle(t) for t in start_text.split(",")]
     end = [_parse_angle(t) for t in end_text.split(",")]
+    if not np.all(np.isfinite(start + end)):
+        raise InputError(f"path angles in {text!r} must be finite")
     if len(start) != dimension or len(end) != dimension:
         raise InputError(f"path endpoints must have {dimension} components")
     steps = np.linspace(0.0, 1.0, count)[:, None]
@@ -356,10 +366,8 @@ def write_path_csv(graph: FundamentalGraph, q, thetas: np.ndarray, out) -> None:
         [f"theta_{j + 1}" for j in range(graph.dimension)]
         + [f"lambda_{n + 1}" for n in range(graph.order)]
     )
-    for theta in thetas:
-        values = hermitian_eigen(
-            assemble_schrodinger(graph, q, theta), with_vectors=False
-        ).values
+    table = hermitian_eigen_batch(fibers(graph, thetas, 1.0 + q))
+    for theta, values in zip(thetas, table):
         writer.writerow(
             [format(c, ".15g") for c in theta]
             + [format(v, ".15g") for v in values]

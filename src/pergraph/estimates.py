@@ -195,7 +195,7 @@ def check_effective_mass_bound(
 
     Both c0^2 m0 - m and m - c0^-2 m0 must be positive semidefinite within
     tol, where m0 belongs to the Laplacian and m to H. When either mass is
-    undefined the check is skipped with a reason.
+    undefined, or c0^2 overflows, the check is skipped with a reason.
     """
     q = potential_vector(graph, Q)
     try:
@@ -205,6 +205,9 @@ def check_effective_mass_bound(
         return {"passed": None, "skipped": True, "reason": str(err)}
     _, psi = perron_ground_state(graph, q)
     c0 = perron_contrast(graph, psi)
+    if not np.isfinite(c0 * c0):
+        reason = f"ground-state contrast c0 = {c0:g} is too large"
+        return {"passed": None, "skipped": True, "reason": reason}
     upper_gap = c0 * c0 * m0 - m
     lower_gap = m - m0 / (c0 * c0)
     upper_margin = float(

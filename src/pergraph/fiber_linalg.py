@@ -7,10 +7,10 @@ exp(-i <index, theta>) / sqrt(kappa_u kappa_v) at (u, v) and its conjugate at
 (v, u) for a representative between u and v, so the result is exactly
 Hermitian.
 
-The eigensolver is a cyclic Jacobi iteration with complex rotations,
-implemented here rather than delegated: fiber matrices are tiny and the
-iteration is deterministic across platforms. A batched variant diagonalizes
-many same-size matrices at once for grid sweeps.
+Single matrices are diagonalized by LAPACK (`numpy.linalg.eigh`). Grid sweeps
+use an in-repo batched cyclic Jacobi iteration with complex rotations, which
+diagonalizes a whole stack of same-size fibers at once. Both are bit-stable on
+one platform; across platforms they agree within the test tolerances.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class NonHermitianError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Sweep limit reached before the off-diagonal target, or bad residual."""
+    """Sweep limit reached, LAPACK failure, or bad eigenpair residual."""
 
 
 @dataclass(frozen=True)
@@ -138,76 +138,38 @@ def fiber_offset(
     return h, assemble_schrodinger(graph, Q, zero) - h_at_zero
 
 
-def _offdiagonal_max(a: np.ndarray) -> float:
-    mags = np.abs(a).copy()
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.max()) if mags.size else 0.0
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^H), after checking that a is finite and Hermitian."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    # the adjoint is formed twice so that no copy outlives its expression
+    defect = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if defect > HERMITICITY_TOL * max(1.0, scale):
+        raise NonHermitianError(f"Hermiticity defect {defect:.3e}")
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermitian_eigen(matrix, with_vectors: bool = True) -> EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors, by cyclic Jacobi.
+    """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK.
 
-    Sweeps run until the largest off-diagonal magnitude drops below
-    1e-13 times the Frobenius norm, up to 100 sweeps. Each converged pair is
-    residual-checked against the input. With with_vectors=False only the
-    eigenvalues are accumulated and the residual check is skipped.
+    Each eigenpair is residual-checked against the symmetrised input. With
+    with_vectors=False only the eigenvalues are computed and the residual
+    check is skipped.
     """
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
-        return EigenDecomposition(np.empty(0), np.empty((0, 0), dtype=complex))
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if defect > HERMITICITY_TOL * max(1.0, scale):
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e}")
-    a = 0.5 * (a + a.conj().T)
-    original = a.copy()
-    v = np.eye(n, dtype=complex) if with_vectors else None
-
-    fro = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    target = OFF_DIAGONAL_TARGET * fro
-    # entries below the convergence target never need zeroing; skipping them
-    # also keeps denormal pivots out of the divisions
-    skip = 0.01 * target
-    sweeps = 0
-    while _offdiagonal_max(a) > target:
-        if sweeps >= SWEEP_LIMIT:
-            raise ConvergenceError(
-                f"no convergence in {SWEEP_LIMIT} sweeps; "
-                f"off-diagonal residual {_offdiagonal_max(a):.3e}"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                beta = abs(b)
-                if beta <= skip:
-                    continue
-                u = b / beta
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0
-                t = (-1.0 if tau >= 0.0 else 1.0) / (
-                    abs(tau) + math.hypot(1.0, tau)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                g = np.array([[c, -s * u], [s * u.conjugate(), c]])
-                a[:, [p, q]] = a[:, [p, q]] @ g
-                a[[p, q], :] = g.conj().T @ a[[p, q], :]
-                if v is not None:
-                    v[:, [p, q]] = v[:, [p, q]] @ g
-        sweeps += 1
-
-    diag = np.real(np.diag(a))
-    order = np.argsort(diag, kind="stable")
-    values = diag[order]
-    if v is None:
-        return EigenDecomposition(values, np.empty((0, 0), dtype=complex))
-    vectors = v[:, order]
-    residuals = original @ vectors - vectors * values[np.newaxis, :]
-    worst = float(np.max(np.sqrt(np.sum(np.abs(residuals) ** 2, axis=0))))
-    if worst > RESIDUAL_LIMIT * max(1.0, fro):
+    a = _hermitian_part(a)
+    try:
+        if not with_vectors:
+            return EigenDecomposition(np.linalg.eigvalsh(a), np.empty((0, 0), complex))
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"LAPACK eigensolver failed: {err}") from err
+    residuals = a @ vectors - vectors * values[np.newaxis, :]
+    worst = float(np.max(np.linalg.norm(residuals, axis=0), initial=0.0))
+    if worst > RESIDUAL_LIMIT * max(1.0, float(np.linalg.norm(a))):
         raise ConvergenceError(f"eigenpair residual {worst:.3e}")
     return EigenDecomposition(values, vectors)
 
@@ -215,21 +177,19 @@ def hermitian_eigen(matrix, with_vectors: bool = True) -> EigenDecomposition:
 def hermitian_eigen_batch(matrices) -> np.ndarray:
     """Ascending eigenvalues for a stack of same-size Hermitian matrices.
 
-    Same rotation sequence as hermitian_eigen, applied to every matrix in the
-    stack simultaneously; matrices whose pivot entry is already zero receive
+    Cyclic Jacobi with complex rotations, applied to every matrix in the
+    stack simultaneously until each off-diagonal part is below
+    OFF_DIAGONAL_TARGET times the matrix's Frobenius norm, for at most
+    SWEEP_LIMIT sweeps; matrices whose pivot entry is already zero receive
     the identity rotation. Returns an array of shape (batch, n).
     """
     a = np.array(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a stack of square matrices")
     m, n = a.shape[0], a.shape[1]
+    a = _hermitian_part(a)
     if m == 0 or n == 1:
         return np.ascontiguousarray(a[:, 0, 0].real.reshape(m, n))
-    defect = float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if defect > HERMITICITY_TOL * max(1.0, scale):
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e}")
-    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
 
     fro = np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))
     targets = OFF_DIAGONAL_TARGET * fro
@@ -252,6 +212,7 @@ def hermitian_eigen_batch(matrices) -> np.ndarray:
             for q in range(p + 1, n):
                 b = a[:, p, q]
                 beta = np.abs(b)
+                # skipping entries far below the target keeps denormals out
                 active = beta > 0.01 * targets
                 safe = np.where(active, beta, 1.0)
                 u = np.where(active, b / safe, 1.0)

@@ -6,11 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from pergraph import generate
-from pergraph.cli_io import main, parse_path, read_graph, write_graph
+from pergraph import BZGrid, assemble_schrodinger, generate, grid_eigenvalues
+from pergraph.cli_io import (
+    graph_payload,
+    main,
+    parse_path,
+    read_graph,
+    write_graph,
+    write_path_csv,
+)
 
 from conftest import single_loop_plane
-from oracles import FCC_EDGES, bcc_band_edges
+from oracles import FCC_EDGES, bcc_band_edges, bisect_eigenvalues
 
 
 def _write(tmp_path, name, payload):
@@ -307,3 +314,54 @@ def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("source", ["potential file", "graph file"])
+@pytest.mark.parametrize("command", ["bands", "report"])
+def test_unbounded_potential_exits_2(tmp_path, capsys, command, source, value):
+    payload = graph_payload(generate("bcc"))
+    if source == "graph file":
+        payload["vertices"][1]["potential"] = value
+        args = [_write(tmp_path, "g.json", payload)]
+    else:
+        qpath = _write(tmp_path, "q.json", {"2": value})
+        args = [_write(tmp_path, "g.json", payload), "-q", qpath]
+    assert main([command, *args, "-k", "4"]) == 2
+    vertex = "2" if source == "graph file" else "'2'"
+    assert f"potential {value!r} of vertex {vertex} in " in capsys.readouterr().err
+
+
+def test_path_refuses_non_finite_angle(tmp_path, capsys):
+    path = _generate(tmp_path, "lattice", "-d", "2")
+    for text in ("nan,0..pi,pi:4", "0,0..inf,pi:4", "0,0..1e308pi,0:4"):
+        assert main(["bands", path, "--path", text]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, kw, text",
+    [
+        ("bcc", {}, "0,0,0..pi,pi,pi:9"),
+        ("star_decorated", dict(d=2, nu=3), "0,0..pi,pi:9"),
+    ],
+)
+def test_path_samples_match_grid_table_and_oracle(rng, family, kw, text):
+    g = generate(family, **kw)
+    q = rng.uniform(-1.0, 1.0, g.order)
+    thetas = parse_path(text, g.dimension)
+    out = io.StringIO()
+    write_path_csv(g, q, thetas, out)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    samples = np.array(rows, dtype=float)[:, g.dimension :]
+    k = 8
+    table = grid_eigenvalues(g, q, BZGrid(g.dimension, k))
+    for step, (theta, values) in enumerate(zip(thetas, samples)):
+        oracle = bisect_eigenvalues(assemble_schrodinger(g, q, theta))
+        assert np.allclose(values, oracle, rtol=0.0, atol=1e-9)
+        if step % 2 == 0:
+            # theta = (step/8) pi (1, .., 1) is grid point j = step/2 on
+            # every axis of the K = 8 grid
+            j = step // 2
+            row = sum(j * k**p for p in range(g.dimension))
+            assert np.allclose(values, table[row], rtol=0.0, atol=1e-12)

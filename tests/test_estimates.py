@@ -120,6 +120,16 @@ def test_effective_mass_bound_skips_singular_mass():
     assert "M singular" in result["reason"]
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_effective_mass_bound_skips_when_contrast_overflows():
+    # the ground state's weight on the 1e100 vertex reads as 0, so c0 = inf
+    # and c0^2 m0 is no finite matrix to diagonalize
+    result = check_effective_mass_bound(generate("bcc"), np.array([1e100, 0.0]))
+    assert result["passed"] is None
+    assert result["skipped"]
+    assert "c0 = inf is too large" in result["reason"]
+
+
 def test_loop_graph_endpoints_on_star(rng):
     g = generate("star_decorated", d=2, nu=4)
     q = rng.uniform(-1, 1, g.order)

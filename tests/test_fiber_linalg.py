@@ -18,6 +18,7 @@ from pergraph import (
     hermitian_eigen_batch,
     potential_vector,
 )
+import pergraph.fiber_linalg as fiber_linalg
 from pergraph.fiber_linalg import fibers
 
 from conftest import CATALOG_SAMPLE, chain_description
@@ -229,3 +230,48 @@ def test_assemble_rejects_wrong_theta_dimension():
     g = generate("lattice", d=2)
     with pytest.raises(ValueError):
         assemble_laplacian(g, np.zeros(3))
+
+
+def test_eigen_of_empty_matrix():
+    dec = hermitian_eigen(np.zeros((0, 0), dtype=complex))
+    assert dec.values.shape == (0,)
+    assert dec.vectors.shape == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [hermitian_eigen, lambda a: hermitian_eigen_batch(a[np.newaxis])],
+    ids=["scalar", "batch"],
+)
+def test_solvers_refuse_non_finite_entries(solve, bad):
+    # a NaN Hermiticity defect compares false with any tolerance, so the
+    # finiteness check is what stops these
+    a = np.eye(2, dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(a)
+
+
+def test_residual_check_guards_lapack(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def perturbed(a):
+        values, vectors = real_eigh(a)
+        return values, vectors + 1e-6
+
+    monkeypatch.setattr(fiber_linalg.np.linalg, "eigh", perturbed)
+    g = generate("bcc")
+    with pytest.raises(ConvergenceError, match="residual"):
+        hermitian_eigen(assemble_laplacian(g, np.array([0.3, -0.2, 1.1])))
+
+
+@pytest.mark.parametrize("with_vectors", [True, False])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, with_vectors):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(fiber_linalg.np.linalg, "eigh", fail)
+    monkeypatch.setattr(fiber_linalg.np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        hermitian_eigen(np.eye(2, dtype=complex), with_vectors=with_vectors)
