@@ -16,6 +16,7 @@ import numpy as np
 
 from .fiber_linalg import (
     assemble_schrodinger,
+    fiber_derivatives,
     fibers,
     hermitian_eigen,
     hermitian_eigen_batch,
@@ -202,29 +203,26 @@ def effective_mass(
 ) -> EffectiveMass:
     """Effective-mass tensor at the bottom of the lowest band.
 
-    The Hessian of the lowest eigenvalue branch at theta = 0 is estimated by
-    central second differences with one Richardson extrapolation level
-    (steps h and h/2), then symmetrized and inverted.
+    The Hessian M of the lowest branch at theta = 0 comes from one
+    eigendecomposition H(0) phi_n = lambda_n phi_n, with lambda_0 simple, by
+    second-order perturbation theory (Kato, Perturbation Theory for Linear
+    Operators, II.2): M_kl = <phi_0, d_k d_l H phi_0> - 2 Re sum_{n>=1}
+    <phi_0, d_k H phi_n> <phi_n, d_l H phi_0> / (lambda_n - lambda_0).
+    M is symmetrized and inverted. `step` is ignored, kept for compatibility.
     """
-    q = potential_vector(graph, Q)
-    d = graph.dimension
-
-    def lowest(theta: np.ndarray) -> float:
-        fiber = assemble_schrodinger(graph, q, theta)
-        return float(hermitian_eigen(fiber, with_vectors=False).values[0])
-
-    at_zero = hermitian_eigen(
-        assemble_schrodinger(graph, q, np.zeros(d)), with_vectors=False
-    ).values
-    if graph.order > 1 and at_zero[1] - at_zero[0] <= 1e-8:
+    fiber = assemble_schrodinger(graph, Q, np.zeros(graph.dimension))
+    decomposition = hermitian_eigen(fiber)
+    values, vectors = decomposition.values, decomposition.vectors
+    if graph.order > 1 and values[1] - values[0] <= 1e-8:
         raise EffectiveMassError("lowest eigenvalue at theta = 0 is degenerate")
-    base = float(at_zero[0])
-
-    coarse = _hessian(lowest, d, step, base)
-    fine = _hessian(lowest, d, 0.5 * step, base)
-    hessian = (4.0 * fine - coarse) / 3.0
+    first, second = fiber_derivatives(graph)
+    phi = vectors[:, 0]
+    # coupling[k, n] = <phi_n, d_k H phi_0>
+    coupling = (first @ phi) @ vectors.conj()
+    excited = coupling[:, 1:].conj() / (values[1:] - values[0])
+    hessian = ((second @ phi) @ phi.conj()).real
+    hessian -= 2.0 * (excited @ coupling[:, 1:].T).real
     hessian = 0.5 * (hessian + hessian.T)
-
     spectrum = hermitian_eigen(
         hessian.astype(complex), with_vectors=False
     ).values
@@ -233,25 +231,3 @@ def effective_mass(
     if smallest == 0.0 or largest / smallest > 1e12:
         raise EffectiveMassError("effective mass undefined (M singular)")
     return EffectiveMass(hessian, np.linalg.inv(hessian))
-
-
-def _hessian(f, d: int, h: float, base: float) -> np.ndarray:
-    m = np.empty((d, d))
-    for i in range(d):
-        e_i = np.zeros(d)
-        e_i[i] = h
-        m[i, i] = (f(e_i) - 2.0 * base + f(-e_i)) / (h * h)
-    for i in range(d):
-        for j in range(i + 1, d):
-            shift = np.zeros(d)
-            shift[i] = h
-            shift[j] = h
-            opposite = np.zeros(d)
-            opposite[i] = h
-            opposite[j] = -h
-            cross = (
-                f(shift) - f(opposite) - f(-opposite) + f(-shift)
-            ) / (4.0 * h * h)
-            m[i, j] = cross
-            m[j, i] = cross
-    return m

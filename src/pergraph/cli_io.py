@@ -62,8 +62,9 @@ class GraphFile:
     description: PeriodicDescription | None
 
 
-def _round15(x: float) -> float:
-    return float(format(float(x), ".15g"))
+def _round15(x: float) -> float | None:
+    # strict JSON has no token for inf or nan, so they are written as null
+    return float(format(float(x), ".15g")) if math.isfinite(x) else None
 
 
 def _jsonable(x):
@@ -71,14 +72,12 @@ def _jsonable(x):
         return x
     if x is None or isinstance(x, (str, int)):
         return x
-    if isinstance(x, float):
+    if isinstance(x, (float, np.floating)):
         return _round15(x)
     if isinstance(x, (np.bool_,)):
         return bool(x)
     if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, np.floating):
-        return _round15(float(x))
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
@@ -375,7 +374,7 @@ def write_path_csv(graph: FundamentalGraph, q, thetas: np.ndarray, out) -> None:
 
 
 def _write_json(payload, path: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -643,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mass = sub.add_parser("mass", help="effective mass at the band bottom")
     add_common(p_mass, with_grid=False)
-    p_mass.add_argument("--step", type=float, default=1e-3)
+    p_mass.add_argument("--step", type=float, default=1e-3, help="ignored")
     p_mass.add_argument("--json", default=None)
     p_mass.set_defaults(func=_cmd_mass)
 

@@ -10,7 +10,7 @@ never load-bearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
 
@@ -77,7 +77,8 @@ def perron_ground_state(
 def perron_contrast(graph: FundamentalGraph, psi: np.ndarray) -> float:
     """Constant c0: spread of the ground state relative to sqrt(degree)."""
     ratios = psi / _degree_roots(graph)
-    return float(np.max(ratios) / np.min(ratios))
+    smallest = float(np.min(ratios))
+    return inf if smallest == 0.0 else float(np.max(ratios)) / smallest
 
 
 def check_measure_bound(

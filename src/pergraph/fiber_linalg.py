@@ -93,6 +93,29 @@ def fibers(graph: FundamentalGraph, thetas, diagonal, edges=None) -> np.ndarray:
     return a
 
 
+def fiber_derivatives(graph: FundamentalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """d_k H and d_k d_l H at theta = 0, shapes (d, nu, nu) and (d, d, nu, nu).
+
+    An edge with w = 1/sqrt(kappa_u kappa_v) and index a adds i a_k w at
+    (u, v) and -i a_k w at (v, u) to d_k H, and a_k a_l w at both to
+    d_k d_l H; a loop therefore adds 0 and 2 a_k a_l / kappa_u.
+    """
+    pos = graph.position
+    roots = _degree_roots(graph)
+    d, n = graph.dimension, graph.order
+    first = np.zeros((d, n, n), dtype=complex)
+    second = np.zeros((d, d, n, n), dtype=complex)
+    for e in graph.edges:
+        i, j = pos[e.tail], pos[e.head]
+        w = 1.0 / (roots[i] * roots[j])
+        index = np.asarray(e.index, dtype=float)
+        first[:, i, j] += 1j * w * index
+        first[:, j, i] -= 1j * w * index
+        second[:, :, i, j] += w * np.multiply.outer(index, index)
+        second[:, :, j, i] += w * np.multiply.outer(index, index)
+    return first, second
+
+
 def assemble_laplacian(graph: FundamentalGraph, theta) -> np.ndarray:
     """Hermitian Laplacian fiber matrix at quasimomentum theta."""
     return fibers(graph, [_theta_vector(graph, theta)], 1.0)[0]

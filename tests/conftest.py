@@ -37,6 +37,19 @@ def single_loop_plane():
     )
 
 
+def diagonal_loop_plane():
+    """Two vertices in d=2 whose only cycle is a loop of index (1, 1).
+
+    The bands depend on theta_1 + theta_2 alone, so the lowest band is
+    constant along (1, -1) and the effective-mass Hessian is singular.
+    """
+    return FundamentalGraph(
+        dimension=2,
+        vertices=(Vertex(1), Vertex(2)),
+        edges=(Edge(1, 2, (0, 0)), Edge(1, 1, (1, 1))),
+    )
+
+
 def even_loop_line():
     """One vertex in d=1 whose only loop has an even index.
 

@@ -56,6 +56,38 @@ def bisect_eigenvalues(matrix: np.ndarray, iterations: int = 80) -> np.ndarray:
     return 0.5 * (lows + highs)
 
 
+def central_hessian(f, d: int, step: float = 1e-3) -> np.ndarray:
+    """Hessian of f at 0 by central differences and one Richardson level.
+
+    f maps a length-d vector to a scalar or an array; the result has shape
+    (d, d) + shape of f(0). Second differences at steps h and h/2 are
+    combined as (4 fine - coarse) / 3, which cancels the O(h^2) term.
+    """
+
+    def at(h: float) -> np.ndarray:
+        base = np.asarray(f(np.zeros(d)))
+        e = h * np.eye(d)
+        m = np.empty((d, d) + base.shape, dtype=base.dtype)
+        for i in range(d):
+            m[i, i] = (f(e[i]) - 2.0 * base + f(-e[i])) / (h * h)
+            for j in range(i + 1, d):
+                m[i, j] = m[j, i] = (
+                    f(e[i] + e[j]) - f(e[i] - e[j]) - f(e[j] - e[i]) + f(-e[i] - e[j])
+                ) / (4.0 * h * h)
+        return m
+
+    return (4.0 * at(0.5 * step) - at(step)) / 3.0
+
+
+def lowest_band_hessian(fiber, d: int, step: float = 1e-3) -> np.ndarray:
+    """Finite-difference Hessian of the lowest eigenvalue of fiber(theta) at 0.
+
+    Each point is one numpy eigvalsh call; the result is symmetrized.
+    """
+    m = central_hessian(lambda t: np.linalg.eigvalsh(fiber(t))[0], d, step)
+    return 0.5 * (m + m.T)
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (raw + raw.conj().T)

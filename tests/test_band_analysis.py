@@ -10,6 +10,7 @@ from pergraph import (
     BZGrid,
     EffectiveMassError,
     FlatBand,
+    assemble_schrodinger,
     compute_bands,
     effective_mass,
     gaps,
@@ -18,8 +19,14 @@ from pergraph import (
     spectrum_union,
 )
 
-from conftest import single_loop_plane
-from oracles import FCC_EDGES, bcc_band_edges, star_components, subdivided_flats
+from conftest import CATALOG_SAMPLE, single_loop_plane
+from oracles import (
+    FCC_EDGES,
+    bcc_band_edges,
+    lowest_band_hessian,
+    star_components,
+    subdivided_flats,
+)
 
 
 def test_grid_rejects_odd_and_tiny_sizes():
@@ -179,6 +186,21 @@ def test_effective_mass_step_stability():
 def test_effective_mass_singular_direction_is_an_error():
     with pytest.raises(EffectiveMassError, match="M singular"):
         effective_mass(single_loop_plane(), np.zeros(1))
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_effective_mass_matches_finite_difference_oracle(name, kw):
+    g = generate(name, **kw)
+    potentials = [np.zeros(g.order)] + [
+        np.random.default_rng(seed).uniform(-1, 1, g.order) for seed in (1, 2)
+    ]
+    for q in potentials:
+        hessian = effective_mass(g, q).hessian
+        reference = lowest_band_hessian(
+            lambda t: assemble_schrodinger(g, q, t), g.dimension
+        )
+        scale = np.max(np.abs(hessian))
+        assert np.max(np.abs(hessian - reference)) <= 1e-5 * scale
 
 
 def test_grid_eigenvalues_shape_and_range():

@@ -305,6 +305,29 @@ def test_mass_fails_on_singular_hessian(tmp_path, capsys):
     assert "effective mass undefined" in capsys.readouterr().err
 
 
+def test_report_passes_with_constant_potential(tmp_path, capsys):
+    path = _generate(tmp_path, "subdivided", "-d", "2", "-n", "2")
+    qpath = _write(tmp_path, "q.json", {str(v): 0.7 for v in range(1, 6)})
+    assert main(["report", path, "-q", qpath]) == 0
+    assert "effective_mass_bound: pass" in capsys.readouterr().out
+
+
+def test_report_json_is_strict_when_c0_overflows(tmp_path):
+    path = _generate(tmp_path, "bcc")
+    qpath = _write(tmp_path, "q.json", {"1": 1e100})
+    out = tmp_path / "report.json"
+    # the exit code is not the point here: gap_sum fails at this potential
+    main(["report", path, "-q", qpath, "-k", "8", "--json", str(out)])
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    assert data["c0"] is None
+    assert data["first_band"]["c0"] is None
+    assert data["first_band"]["upper"] is None
+
+
 def test_missing_graph_file(capsys):
     assert main(["bands", "/nonexistent/graph.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from pergraph import (
 )
 from pergraph import band_analysis, estimates
 
-from conftest import CATALOG_SAMPLE, even_loop_line, single_loop_plane
+from conftest import (
+    CATALOG_SAMPLE,
+    diagonal_loop_plane,
+    even_loop_line,
+    single_loop_plane,
+)
 
 
 def test_perron_ground_state_lattice():
@@ -128,6 +134,34 @@ def test_effective_mass_bound_skips_when_contrast_overflows():
     assert result["passed"] is None
     assert result["skipped"]
     assert "c0 = inf is too large" in result["reason"]
+
+
+def test_perron_contrast_is_infinite_without_a_warning():
+    g = generate("bcc")
+    q = np.array([1e100, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, psi = perron_ground_state(g, q)
+        assert perron_contrast(g, psi) == math.inf
+        assert check_effective_mass_bound(g, q)["skipped"]
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_effective_mass_bound_is_tight_for_constant_potential(name, kw):
+    # Q = c only shifts every fiber by c, so m = m0 and c0 = 1 exactly
+    g = generate(name, **kw)
+    result = check_effective_mass_bound(g, np.full(g.order, 0.7))
+    assert result["passed"]
+    assert np.max(np.abs(result["mass"] - result["laplacian_mass"])) <= 1e-12
+    assert result["upper_margin"] >= -1e-12
+    assert result["lower_margin"] >= -1e-12
+
+
+def test_effective_mass_bound_skips_band_constant_along_a_direction():
+    result = check_effective_mass_bound(diagonal_loop_plane(), np.zeros(2))
+    assert result["passed"] is None
+    assert result["skipped"]
+    assert "M singular" in result["reason"]
 
 
 def test_loop_graph_endpoints_on_star(rng):

@@ -19,10 +19,10 @@ from pergraph import (
     potential_vector,
 )
 import pergraph.fiber_linalg as fiber_linalg
-from pergraph.fiber_linalg import fibers
+from pergraph.fiber_linalg import fiber_derivatives, fibers
 
 from conftest import CATALOG_SAMPLE, chain_description
-from oracles import bisect_eigenvalues, random_hermitian
+from oracles import bisect_eigenvalues, central_hessian, random_hermitian
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
@@ -275,3 +275,19 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, with_vectors):
     monkeypatch.setattr(fiber_linalg.np.linalg, "eigvalsh", fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
         hermitian_eigen(np.eye(2, dtype=complex), with_vectors=with_vectors)
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_fiber_derivatives_match_central_differences(name, kw):
+    g = generate(name, **kw)
+    first, second = fiber_derivatives(g)
+
+    def fiber(theta):
+        return fibers(g, [theta], 0.0)[0]
+
+    h = 1e-5
+    central = np.array(
+        [(fiber(s) - fiber(-s)) / (2.0 * h) for s in h * np.eye(g.dimension)]
+    )
+    assert np.max(np.abs(first - central)) <= 1e-8
+    assert np.max(np.abs(second - central_hessian(fiber, g.dimension))) <= 1e-8
