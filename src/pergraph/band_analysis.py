@@ -3,8 +3,11 @@
 Band endpoints are grid minima and maxima of the sorted fiber eigenvalues.
 The grid always contains both 0 and the half-turn point, where the extrema of
 all catalog families are attained, so endpoints there are exact up to solver
-rounding. Grid evaluation runs in deterministic grid-index order, so results
-are bit-stable.
+rounding. The potential is real, so time reversal gives H(-theta) =
+conj H(theta), an exact certificate that both points share one spectrum:
+sweeps diagonalize one point of each {theta, -theta} pair, in grid-index
+order, and copy its row to the mirror point, so results are bit-stable and
+the table stays complete.
 """
 
 from __future__ import annotations
@@ -43,8 +46,13 @@ class BZGrid:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("grid dimension must be positive")
-        if self.points_per_axis < 2 or self.points_per_axis % 2 != 0:
+        if self.points_per_axis % 2 != 0:
             raise ValueError("grid must be even to include π")
+        if self.points_per_axis < 2:
+            raise ValueError(
+                "grid needs at least 2 points per axis, "
+                f"got {self.points_per_axis}"
+            )
 
     @property
     def count(self) -> int:
@@ -99,15 +107,33 @@ class EffectiveMass:
 
 
 def grid_eigenvalues(graph: FundamentalGraph, Q, grid: BZGrid) -> np.ndarray:
-    """Sorted fiber eigenvalues at every grid point, in grid index order."""
+    """Sorted fiber eigenvalues at every grid point, in grid index order.
+
+    The potential is real, so H(-theta) = conj H(theta) and both have the
+    same spectrum. Of each pair {k, -k mod K} of grid indices only the one
+    with the smaller flat index is diagonalized, and its row is copied to
+    the other: (K^d + 2^d) / 2 solves instead of K^d.
+    """
     diagonal = 1.0 + potential_vector(graph, Q)
-    thetas = grid.thetas()
-    return np.vstack(
+    keep, row = np.unique(
+        np.minimum(np.arange(grid.count), _mirror(grid)), return_inverse=True
+    )
+    thetas = grid.thetas()[keep]
+    solved = np.vstack(
         [
             hermitian_eigen_batch(fibers(graph, thetas[i : i + _CHUNK], diagonal))
             for i in range(0, len(thetas), _CHUNK)
         ]
     )
+    return solved[row]
+
+
+def _mirror(grid: BZGrid) -> np.ndarray:
+    """Flat index of the grid point -k mod K, for every grid index k."""
+    shape = (grid.points_per_axis,) * grid.dimension
+    return np.ravel_multi_index(
+        (-np.indices(shape)) % grid.points_per_axis, shape
+    ).reshape(-1)
 
 
 def compute_bands(

@@ -29,7 +29,12 @@ from .band_analysis import (
     spectrum_union,
 )
 from .catalog import FAMILIES, generate
-from .estimates import _first_band, build_report, perron_ground_state
+from .estimates import (
+    _first_band,
+    _ground_contrast,
+    build_report,
+    perron_ground_state,
+)
 from .fiber_linalg import (
     assemble_laplacian,
     assemble_nabla,
@@ -558,7 +563,8 @@ def _cmd_check(args) -> int:
     for _ in range(args.trials):
         trial_q = rng.uniform(-1.0, 1.0, graph.order)
         bands = compute_bands(graph, trial_q, grid)
-        if not _first_band(graph, trial_q, bands, laplacian_bands)["passed"]:
+        c0 = _ground_contrast(graph, trial_q)
+        if not _first_band(bands, laplacian_bands, c0)["passed"]:
             band_failures += 1
     if band_failures == 0:
         print(f"ok: first band estimate ({args.trials} random potentials)")

@@ -160,18 +160,21 @@ def check_first_band(
     """
     q = potential_vector(graph, Q)
     laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
-    return _first_band(graph, q, compute_bands(graph, q, grid), laplacian_bands, slack)
+    bands = compute_bands(graph, q, grid)
+    return _first_band(bands, laplacian_bands, _ground_contrast(graph, q), slack)
+
+
+def _ground_contrast(graph: FundamentalGraph, q: np.ndarray) -> float:
+    """c0 of the ground state of H(0) with potential q."""
+    return perron_contrast(graph, perron_ground_state(graph, q)[1])
 
 
 def _first_band(
-    graph: FundamentalGraph,
-    q: np.ndarray,
     bands: BandStructure,
     laplacian_bands: BandStructure,
+    c0: float,
     slack: float = SLACK,
 ) -> dict:
-    _, psi = perron_ground_state(graph, q)
-    c0 = perron_contrast(graph, psi)
     width_h = bands.bands[0].width
     width_d = laplacian_bands.bands[0].width
     lower = width_d / (c0 * c0)
@@ -198,14 +201,25 @@ def check_effective_mass_bound(
     tol, where m0 belongs to the Laplacian and m to H. When either mass is
     undefined, or c0^2 overflows, the check is skipped with a reason.
     """
-    q = potential_vector(graph, Q)
+    return _effective_mass_bound(graph, potential_vector(graph, Q), None, step, tol)
+
+
+def _effective_mass_bound(
+    graph: FundamentalGraph,
+    q: np.ndarray,
+    c0: float | None,
+    step: float = 1e-3,
+    tol: float = 1e-6,
+) -> dict:
+    # c0 = None computes the contrast after the masses, so a degenerate H(0)
+    # is skipped by effective_mass instead of raised by perron_ground_state
     try:
         m0 = effective_mass(graph, np.zeros(graph.order), step).mass
         m = effective_mass(graph, q, step).mass
     except EffectiveMassError as err:
         return {"passed": None, "skipped": True, "reason": str(err)}
-    _, psi = perron_ground_state(graph, q)
-    c0 = perron_contrast(graph, psi)
+    if c0 is None:
+        c0 = _ground_contrast(graph, q)
     if not np.isfinite(c0 * c0):
         reason = f"ground-state contrast c0 = {c0:g} is too large"
         return {"passed": None, "skipped": True, "reason": reason}
@@ -416,7 +430,8 @@ class SpectralReport:
 def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
     """Run every applicable checker and collect the numbers.
 
-    H and the Laplacian are each swept once; every checker reads those tables.
+    H and the Laplacian are each swept once, and the ground state of H(0) is
+    computed once; every checker reads those results.
     """
     q = potential_vector(graph, Q)
     bands = compute_bands(graph, q, grid)
@@ -425,8 +440,9 @@ def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
     union = spectrum_union(bands)
     measure = _measure_bound(graph, q, bands)
     gap = _gap_sum(graph, q, bands, laplacian_bands)
-    first = _first_band(graph, q, bands, laplacian_bands)
-    mass = check_effective_mass_bound(graph, q)
+    c0 = _ground_contrast(graph, q)
+    first = _first_band(bands, laplacian_bands, c0)
+    mass = _effective_mass_bound(graph, q, c0)
     loop = is_loop_graph(graph)
     loop_result = _loop_graph(graph, q, bands) if loop else None
     bipartite_result = _bipartite(graph, laplacian_table, laplacian_bands)

@@ -5,7 +5,8 @@ single points alike. It starts from a diagonal (1 + Q for H) and subtracts, per
 edge, 2 cos(<index, theta>) / kappa_u on the diagonal for a loop at u, or
 exp(-i <index, theta>) / sqrt(kappa_u kappa_v) at (u, v) and its conjugate at
 (v, u) for a representative between u and v, so the result is exactly
-Hermitian.
+Hermitian. With a real diagonal, every entry at -theta is the conjugate of
+the entry at theta, so H(-theta) = conj H(theta) and both share one spectrum.
 
 Single matrices are diagonalized by LAPACK (`numpy.linalg.eigh`). Grid sweeps
 use an in-repo batched cyclic Jacobi iteration with complex rotations, which

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pergraph.band_analysis as band_analysis
+from pergraph.fiber_linalg import fibers
 from pergraph import (
     Band,
     BandStructure,
@@ -223,3 +224,61 @@ def test_thread_and_chunk_settings_do_not_change_results(monkeypatch):
     monkeypatch.setenv("PERGRAPH_THREADS", "1")
     serial = grid_eigenvalues(g, np.zeros(4), grid)
     assert np.array_equal(base, serial)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_mirror_is_an_involution_fixing_the_half_turn_points(d, k):
+    grid = BZGrid(d, k)
+    mirror = band_analysis._mirror(grid)
+    index = np.arange(grid.count)
+    assert np.array_equal(mirror[mirror], index)
+    steps = np.indices((k,) * d).reshape(d, -1).T
+    half_turns = np.all(2 * steps % k == 0, axis=1)
+    assert np.array_equal(mirror == index, half_turns)
+    assert np.count_nonzero(mirror == index) == 2**d
+    assert np.array_equal(steps[mirror], -steps % k)
+
+
+@pytest.mark.parametrize("d, k", [(1, 8), (2, 4), (2, 8), (3, 2), (3, 4)])
+def test_grid_sweep_solves_one_point_per_mirror_pair(monkeypatch, d, k):
+    g = generate("lattice", d=d)
+    seen = []
+    original = band_analysis.hermitian_eigen_batch
+
+    def counted(matrices):
+        seen.append(len(matrices))
+        return original(matrices)
+
+    monkeypatch.setattr(band_analysis, "hermitian_eigen_batch", counted)
+    table = grid_eigenvalues(g, np.zeros(1), BZGrid(d, k))
+    assert table.shape == (k**d, 1)
+    assert sum(seen) == (k**d + 2**d) // 2
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_half_sweep_matches_the_full_sweep(rng, name, kw):
+    g = generate(name, **kw)
+    q = rng.uniform(-1.0, 1.0, g.order)
+    grid = BZGrid(g.dimension, 4 if g.dimension == 3 else 8)
+    table = grid_eigenvalues(g, q, grid)
+    full = band_analysis.hermitian_eigen_batch(
+        fibers(g, grid.thetas(), 1.0 + q)
+    )
+    scale = max(1.0, float(np.max(np.abs(full))))
+    assert table.shape == full.shape
+    assert np.max(np.abs(table - full)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("q1", [-0.6, -0.1, 0.3, 0.8])
+def test_half_sweep_bcc_edges_match_closed_form(q1):
+    bands = compute_bands(generate("bcc"), np.array([q1, 0.0]), BZGrid(3, 8))
+    edges = bcc_band_edges(q1)
+    got = [(b.lambda_min, b.lambda_max) for b in bands.bands]
+    assert np.allclose(got[0], edges["lower"], atol=1e-10)
+    assert np.allclose(got[1], edges["upper"], atol=1e-10)
+
+
+def test_grid_rejects_fewer_than_two_points():
+    with pytest.raises(ValueError, match="at least 2 points per axis, got 0"):
+        BZGrid(2, 0)

@@ -142,6 +142,12 @@ def test_odd_grid_is_rejected(tmp_path, capsys):
     assert "grid must be even to include" in capsys.readouterr().err
 
 
+def test_empty_grid_is_rejected(tmp_path, capsys):
+    path = _generate(tmp_path, "bcc")
+    assert main(["bands", path, "-k", "0"]) == 2
+    assert "at least 2 points per axis, got 0" in capsys.readouterr().err
+
+
 def test_band_csv_for_fcc(tmp_path):
     path = _generate(tmp_path, "fcc")
     out = tmp_path / "bands.csv"

@@ -328,3 +328,18 @@ def test_build_report_sweeps_each_operator_once(monkeypatch, rng, name, kw):
     monkeypatch.setattr(estimates, "grid_eigenvalues", counted)
     build_report(g, rng.uniform(-1, 1, g.order), _report_grid(g))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
+def test_build_report_computes_the_ground_state_once(monkeypatch, rng, name, kw):
+    g = generate(name, **kw)
+    calls = []
+    original = estimates.perron_ground_state
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimates, "perron_ground_state", counted)
+    build_report(g, rng.uniform(-1, 1, g.order), _report_grid(g))
+    assert len(calls) == 1

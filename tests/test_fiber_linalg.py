@@ -291,3 +291,17 @@ def test_fiber_derivatives_match_central_differences(name, kw):
     )
     assert np.max(np.abs(first - central)) <= 1e-8
     assert np.max(np.abs(second - central_hessian(fiber, g.dimension))) <= 1e-8
+
+
+def test_time_reversal_conjugates_schrodinger_fibers(rng):
+    # a real potential makes H(-theta) the entrywise conjugate of H(theta),
+    # which is what lets a grid sweep solve one point of each pair
+    for g in all_sample_graphs():
+        theta = rng.uniform(-math.pi, math.pi, (3, g.dimension))
+        diagonal = 1.0 + rng.uniform(-1.0, 1.0, g.order)
+        assert np.allclose(
+            fibers(g, -theta, diagonal),
+            fibers(g, theta, diagonal).conj(),
+            rtol=0.0,
+            atol=1e-15,
+        )
