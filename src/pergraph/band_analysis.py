@@ -29,6 +29,8 @@ from .graph_core import FundamentalGraph
 
 FLAT_TOL = 1e-8
 MERGE_TOL = 1e-9
+# lambda_0 of H(0) counts as simple only when lambda_1 lies further above
+SIMPLE_GAP = 1e-8
 _CHUNK = 4096
 
 
@@ -239,7 +241,7 @@ def effective_mass(
     fiber = assemble_schrodinger(graph, Q, np.zeros(graph.dimension))
     decomposition = hermitian_eigen(fiber)
     values, vectors = decomposition.values, decomposition.vectors
-    if graph.order > 1 and values[1] - values[0] <= 1e-8:
+    if graph.order > 1 and values[1] - values[0] <= SIMPLE_GAP:
         raise EffectiveMassError("lowest eigenvalue at theta = 0 is degenerate")
     first, second = fiber_derivatives(graph)
     phi = vectors[:, 0]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_analysis import (
+    FLAT_TOL,
     BandStructure,
     BZGrid,
     EffectiveMassError,
@@ -30,12 +31,15 @@ from .band_analysis import (
 )
 from .catalog import FAMILIES, generate
 from .estimates import (
+    EstimateError,
     _first_band,
     _ground_contrast,
     build_report,
     perron_ground_state,
 )
 from .fiber_linalg import (
+    ConvergenceError,
+    NonHermitianError,
     assemble_laplacian,
     assemble_nabla,
     assemble_schrodinger,
@@ -266,7 +270,7 @@ def band_rows(structure: BandStructure) -> list[dict]:
                 "lambda_max": band.lambda_max,
                 "flat": band.flat,
                 "multiplicity": (
-                    _flat_multiplicity(structure, band.lambda_min, 1e-8)
+                    _flat_multiplicity(structure, band.lambda_min, FLAT_TOL)
                     if band.flat
                     else None
                 ),
@@ -487,9 +491,13 @@ def _quadratic_form_defect(
 
 
 def _ground_form_defect(
-    graph: FundamentalGraph, q: np.ndarray, theta: np.ndarray, f: np.ndarray
+    graph: FundamentalGraph,
+    q: np.ndarray,
+    floor: float,
+    psi: np.ndarray,
+    theta: np.ndarray,
+    f: np.ndarray,
 ) -> float:
-    floor, psi = perron_ground_state(graph, q)
     matrix = assemble_schrodinger(graph, q, theta)
     weighted = psi * f
     direct = float(
@@ -530,13 +538,14 @@ def _cmd_check(args) -> int:
     worst_fact = 0.0
     worst_quad = 0.0
     worst_ground = 0.0
+    floor, psi = perron_ground_state(graph, q)
     for _ in range(args.trials):
         theta = rng.uniform(-math.pi, math.pi, graph.dimension)
         f = rng.normal(size=graph.order) + 1j * rng.normal(size=graph.order)
         worst_fact = max(worst_fact, _factorization_defect(graph, theta))
         worst_quad = max(worst_quad, _quadratic_form_defect(graph, theta, f))
         worst_ground = max(
-            worst_ground, _ground_form_defect(graph, q, theta, f)
+            worst_ground, _ground_form_defect(graph, q, floor, psi, theta, f)
         )
     for label, worst in (
         ("factorization identity", worst_fact),
@@ -656,6 +665,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    0 success, 1 a failed check, 2 malformed input, 3 a failed numerical
+    guarantee (ground state of H(0), eigensolver, Hermiticity).
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -665,6 +679,9 @@ def main(argv=None) -> int:
     except GraphError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (EstimateError, ConvergenceError, NonHermitianError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

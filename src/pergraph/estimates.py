@@ -1,10 +1,11 @@
 """Executable checkers for the spectral estimates and classifications.
 
 Every checker returns a plain dict whose "passed" entry is recomputable from
-the other reported numbers. Inequalities are tested with an additive slack
-(default 1e-9) that absorbs eigensolver rounding; the grids used by the
+the other reported numbers. Inequalities are tested with the fixed additive
+slack SLACK = 1e-9 that absorbs eigensolver rounding; the grids used by the
 acceptance suite place band extrema exactly on grid points, so the slack is
-never load-bearing.
+never load-bearing. Every eigenvalue compared with a band edge is read from
+the same sweep table as that edge.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .band_analysis import (
     FLAT_TOL,
+    SIMPLE_GAP,
     BandStructure,
     BZGrid,
     EffectiveMassError,
@@ -28,7 +30,6 @@ from .band_analysis import (
 )
 from .fiber_linalg import (
     _degree_roots,
-    assemble_laplacian,
     assemble_schrodinger,
     fiber_offset,
     hermitian_eigen,
@@ -45,6 +46,7 @@ from .graph_core import (
 )
 
 SLACK = 1e-9
+MASS_TOL = 1e-6
 
 
 class EstimateError(RuntimeError):
@@ -64,7 +66,7 @@ def perron_ground_state(
     fiber = assemble_schrodinger(graph, q, np.zeros(graph.dimension))
     decomposition = hermitian_eigen(fiber)
     values = decomposition.values
-    if graph.order > 1 and values[1] - values[0] <= 1e-8:
+    if graph.order > 1 and values[1] - values[0] <= SIMPLE_GAP:
         raise EstimateError("lowest eigenvalue of H(0) is not simple")
     psi = decomposition.vectors[:, 0]
     k = int(np.argmax(np.abs(psi)))
@@ -81,16 +83,14 @@ def perron_contrast(graph: FundamentalGraph, psi: np.ndarray) -> float:
     return inf if smallest == 0.0 else float(np.max(ratios)) / smallest
 
 
-def check_measure_bound(
-    graph: FundamentalGraph, Q, grid: BZGrid, slack: float = SLACK
-) -> dict:
+def check_measure_bound(graph: FundamentalGraph, Q, grid: BZGrid) -> dict:
     """Chain |sigma(H)| <= sum of band lengths <= 2 Tr B(0) <= 2 zeta."""
     q = potential_vector(graph, Q)
-    return _measure_bound(graph, q, compute_bands(graph, q, grid), slack)
+    return _measure_bound(graph, q, compute_bands(graph, q, grid))
 
 
 def _measure_bound(
-    graph: FundamentalGraph, q: np.ndarray, bands: BandStructure, slack: float = SLACK
+    graph: FundamentalGraph, q: np.ndarray, bands: BandStructure
 ) -> dict:
     union = spectrum_union(bands)
     band_sum = fsum(b.width for b in bands.bands)
@@ -98,9 +98,9 @@ def _measure_bound(
     trace_bound = 2.0 * float(np.abs(bridge_at_zero).sum())
     two_zeta = 2.0 * zeta(graph).value
     passed = (
-        union.measure <= band_sum + slack
-        and band_sum <= trace_bound + slack
-        and trace_bound <= two_zeta + slack
+        union.measure <= band_sum + SLACK
+        and band_sum <= trace_bound + SLACK
+        and trace_bound <= two_zeta + SLACK
     )
     return {
         "passed": passed,
@@ -111,9 +111,7 @@ def _measure_bound(
     }
 
 
-def check_gap_sum(
-    graph: FundamentalGraph, Q, grid: BZGrid, slack: float = SLACK
-) -> dict:
+def check_gap_sum(graph: FundamentalGraph, Q, grid: BZGrid) -> dict:
     """Total gap length against its two lower bounds.
 
     The gap sum must reach span - 2 zeta, where span is the full spectral
@@ -122,7 +120,7 @@ def check_gap_sum(
     """
     q = potential_vector(graph, Q)
     laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
-    return _gap_sum(graph, q, compute_bands(graph, q, grid), laplacian_bands, slack)
+    return _gap_sum(graph, q, compute_bands(graph, q, grid), laplacian_bands)
 
 
 def _gap_sum(
@@ -130,7 +128,6 @@ def _gap_sum(
     q: np.ndarray,
     bands: BandStructure,
     laplacian_bands: BandStructure,
-    slack: float = SLACK,
 ) -> dict:
     gap_list = gaps(bands)
     gap_sum = fsum(hi - lo for lo, hi in gap_list)
@@ -138,7 +135,7 @@ def _gap_sum(
     two_zeta = 2.0 * zeta(graph).value
     laplacian_top = laplacian_bands.bands[-1].lambda_max
     span_floor = abs(laplacian_top - (float(q.max()) - float(q.min())))
-    passed = gap_sum >= span - two_zeta - slack and span >= span_floor - slack
+    passed = gap_sum >= span - two_zeta - SLACK and span >= span_floor - SLACK
     return {
         "passed": passed,
         "gap_sum": gap_sum,
@@ -150,9 +147,7 @@ def _gap_sum(
     }
 
 
-def check_first_band(
-    graph: FundamentalGraph, Q, grid: BZGrid, slack: float = SLACK
-) -> dict:
+def check_first_band(graph: FundamentalGraph, Q, grid: BZGrid) -> dict:
     """Two-sided first-band estimate through the ground-state contrast.
 
     The first band of H must have a width between c0^-2 and c0^2 times the
@@ -161,7 +156,7 @@ def check_first_band(
     q = potential_vector(graph, Q)
     laplacian_bands = compute_bands(graph, np.zeros(graph.order), grid)
     bands = compute_bands(graph, q, grid)
-    return _first_band(bands, laplacian_bands, _ground_contrast(graph, q), slack)
+    return _first_band(bands, laplacian_bands, _ground_contrast(graph, q))
 
 
 def _ground_contrast(graph: FundamentalGraph, q: np.ndarray) -> float:
@@ -170,18 +165,13 @@ def _ground_contrast(graph: FundamentalGraph, q: np.ndarray) -> float:
 
 
 def _first_band(
-    bands: BandStructure,
-    laplacian_bands: BandStructure,
-    c0: float,
-    slack: float = SLACK,
+    bands: BandStructure, laplacian_bands: BandStructure, c0: float
 ) -> dict:
     width_h = bands.bands[0].width
     width_d = laplacian_bands.bands[0].width
     lower = width_d / (c0 * c0)
     upper = width_d * (c0 * c0)
-    passed = (
-        lower - slack <= width_h <= upper + slack and width_h > slack
-    )
+    passed = lower - SLACK <= width_h <= upper + SLACK and width_h > SLACK
     return {
         "passed": passed,
         "c0": c0,
@@ -192,30 +182,24 @@ def _first_band(
     }
 
 
-def check_effective_mass_bound(
-    graph: FundamentalGraph, Q, step: float = 1e-3, tol: float = 1e-6
-) -> dict:
+def check_effective_mass_bound(graph: FundamentalGraph, Q) -> dict:
     """Matrix-order sandwich of the effective mass between scaled copies.
 
     Both c0^2 m0 - m and m - c0^-2 m0 must be positive semidefinite within
-    tol, where m0 belongs to the Laplacian and m to H. When either mass is
-    undefined, or c0^2 overflows, the check is skipped with a reason.
+    MASS_TOL, where m0 belongs to the Laplacian and m to H. When either mass
+    is undefined, or c0^2 overflows, the check is skipped with a reason.
     """
-    return _effective_mass_bound(graph, potential_vector(graph, Q), None, step, tol)
+    return _effective_mass_bound(graph, potential_vector(graph, Q), None)
 
 
 def _effective_mass_bound(
-    graph: FundamentalGraph,
-    q: np.ndarray,
-    c0: float | None,
-    step: float = 1e-3,
-    tol: float = 1e-6,
+    graph: FundamentalGraph, q: np.ndarray, c0: float | None
 ) -> dict:
     # c0 = None computes the contrast after the masses, so a degenerate H(0)
     # is skipped by effective_mass instead of raised by perron_ground_state
     try:
-        m0 = effective_mass(graph, np.zeros(graph.order), step).mass
-        m = effective_mass(graph, q, step).mass
+        m0 = effective_mass(graph, np.zeros(graph.order)).mass
+        m = effective_mass(graph, q).mass
     except EffectiveMassError as err:
         return {"passed": None, "skipped": True, "reason": str(err)}
     if c0 is None:
@@ -232,7 +216,7 @@ def _effective_mass_bound(
         hermitian_eigen(lower_gap.astype(complex), with_vectors=False).values[0]
     )
     return {
-        "passed": upper_margin >= -tol and lower_margin >= -tol,
+        "passed": upper_margin >= -MASS_TOL and lower_margin >= -MASS_TOL,
         "skipped": False,
         "c0": c0,
         "mass": m,
@@ -242,9 +226,7 @@ def _effective_mass_bound(
     }
 
 
-def check_loop_graph(
-    graph: FundamentalGraph, Q, grid: BZGrid, slack: float = SLACK
-) -> dict:
+def check_loop_graph(graph: FundamentalGraph, Q, grid: BZGrid) -> dict:
     """Band-endpoint formulas available on loop graphs.
 
     Left endpoints must equal the eigenvalues at theta = 0. When an exact
@@ -255,17 +237,15 @@ def check_loop_graph(
     """
     if not is_loop_graph(graph):
         raise GraphError("check_loop_graph requires a loop graph")
-    q = potential_vector(graph, Q)
-    return _loop_graph(graph, q, compute_bands(graph, q, grid), slack)
+    table = grid_eigenvalues(graph, Q, grid)
+    return _loop_graph(graph, table, bands_from_table(table, grid))
 
 
 def _loop_graph(
-    graph: FundamentalGraph, q: np.ndarray, bands: BandStructure, slack: float = SLACK
+    graph: FundamentalGraph, table: np.ndarray, bands: BandStructure
 ) -> dict:
-    at_zero = hermitian_eigen(
-        assemble_schrodinger(graph, q, np.zeros(graph.dimension)),
-        with_vectors=False,
-    ).values
+    # 0 and every theta0 in {0, pi}^d are grid points, as K is even
+    at_zero = table[0]
     left_defect = max(
         abs(band.lambda_min - at_zero[n]) for n, band in enumerate(bands.bands)
     )
@@ -277,9 +257,11 @@ def _loop_graph(
     right_defect = None
     sum_defect = None
     if theta0 is not None:
-        at_theta0 = hermitian_eigen(
-            assemble_schrodinger(graph, q, np.array(theta0)), with_vectors=False
-        ).values
+        k = bands.grid.points_per_axis
+        half_turns = (k // 2) * (np.array(theta0) > 0.0)
+        at_theta0 = table[
+            np.ravel_multi_index(tuple(half_turns), (k,) * graph.dimension)
+        ]
         right_defect = max(
             abs(band.lambda_max - at_theta0[n])
             for n, band in enumerate(bands.bands)
@@ -293,7 +275,7 @@ def _loop_graph(
         measure_defect = abs(spectrum_union(bands).measure - nonflat_sum)
 
     defects = [left_defect, right_defect, sum_defect, measure_defect]
-    passed = all(d is None or d <= slack for d in defects)
+    passed = all(d is None or d <= SLACK for d in defects)
     return {
         "passed": passed,
         "exact": theta0 is not None,
@@ -321,13 +303,7 @@ def _lattice_like(graph: FundamentalGraph) -> bool:
     return seen == expected
 
 
-def check_bipartite(
-    graph: FundamentalGraph,
-    Q,
-    grid: BZGrid,
-    slack: float = SLACK,
-    flat_tol: float = FLAT_TOL,
-) -> dict:
+def check_bipartite(graph: FundamentalGraph, Q, grid: BZGrid) -> dict:
     """Spectral consequences of bipartiteness for the Laplacian.
 
     On a bipartite quotient: fiber spectra are symmetric about 1, a part-size
@@ -338,16 +314,11 @@ def check_bipartite(
     the eigenvalues of the zero fiber and of its reflection about 1.
     """
     table = grid_eigenvalues(graph, np.zeros(graph.order), grid)
-    laplacian_bands = bands_from_table(table, grid, flat_tol)
-    return _bipartite(graph, table, laplacian_bands, slack, flat_tol)
+    return _bipartite(graph, table, bands_from_table(table, grid))
 
 
 def _bipartite(
-    graph: FundamentalGraph,
-    table: np.ndarray,
-    laplacian_bands: BandStructure,
-    slack: float = SLACK,
-    flat_tol: float = FLAT_TOL,
+    graph: FundamentalGraph, table: np.ndarray, laplacian_bands: BandStructure
 ) -> dict:
     parts = is_bipartite(graph)
     result: dict = {
@@ -363,7 +334,7 @@ def _bipartite(
             np.max(np.abs(table + table[:, ::-1] - 2.0))
         )
         result["symmetry_defect"] = symmetry_defect
-        checks.append(symmetry_defect <= slack)
+        checks.append(symmetry_defect <= SLACK)
 
         difference = abs(len(parts[0]) - len(parts[1]))
         result["part_difference"] = difference
@@ -371,7 +342,7 @@ def _bipartite(
             multiplicity = sum(
                 f.multiplicity
                 for f in laplacian_bands.flats
-                if abs(f.value - 1.0) <= flat_tol
+                if abs(f.value - 1.0) <= FLAT_TOL
             )
             result["flat_multiplicity"] = multiplicity
             checks.append(multiplicity >= difference)
@@ -380,21 +351,18 @@ def _bipartite(
         gap_floor = 2.0 * (1.0 - zeta(graph).value)
         result["gap_sum"] = gap_sum
         result["gap_floor"] = gap_floor
-        checks.append(gap_sum >= gap_floor - slack)
+        checks.append(gap_sum >= gap_floor - SLACK)
 
     if _lattice_like(graph):
         result["applicable"] = True
-        mu = hermitian_eigen(
-            assemble_laplacian(graph, np.zeros(graph.dimension)),
-            with_vectors=False,
-        ).values
+        mu = table[0]
         mirrored = (2.0 - mu)[::-1]
         endpoint_defect = max(
             max(abs(band.lambda_min - mu[n]), abs(band.lambda_max - mirrored[n]))
             for n, band in enumerate(laplacian_bands.bands)
         )
         result["endpoint_defect"] = endpoint_defect
-        checks.append(endpoint_defect <= slack)
+        checks.append(endpoint_defect <= SLACK)
 
     result["passed"] = all(checks) if checks else True
     return result
@@ -434,7 +402,8 @@ def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
     computed once; every checker reads those results.
     """
     q = potential_vector(graph, Q)
-    bands = compute_bands(graph, q, grid)
+    table = grid_eigenvalues(graph, q, grid)
+    bands = bands_from_table(table, grid)
     laplacian_table = grid_eigenvalues(graph, np.zeros(graph.order), grid)
     laplacian_bands = bands_from_table(laplacian_table, grid)
     union = spectrum_union(bands)
@@ -444,7 +413,7 @@ def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
     first = _first_band(bands, laplacian_bands, c0)
     mass = _effective_mass_bound(graph, q, c0)
     loop = is_loop_graph(graph)
-    loop_result = _loop_graph(graph, q, bands) if loop else None
+    loop_result = _loop_graph(graph, table, bands) if loop else None
     bipartite_result = _bipartite(graph, laplacian_table, laplacian_bands)
     verdicts = {
         "measure_bound": measure["passed"],
@@ -472,7 +441,7 @@ def build_report(graph: FundamentalGraph, Q, grid: BZGrid) -> SpectralReport:
         first_band=first,
         effective_mass_bound=mass,
         loop=loop,
-        exact=loop and exact_quasimomentum(graph) is not None,
+        exact=loop and loop_result["exact"],
         bipartite=bipartite_result["bipartite"],
         bands=bands,
         union=union.components,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pergraph import BZGrid, assemble_schrodinger, generate, grid_eigenvalues
+from pergraph import cli_io, estimates
 from pergraph.cli_io import (
     graph_payload,
     main,
@@ -332,6 +333,33 @@ def test_report_json_is_strict_when_c0_overflows(tmp_path):
     assert data["c0"] is None
     assert data["first_band"]["c0"] is None
     assert data["first_band"]["upper"] is None
+
+
+def test_report_exits_3_when_the_ground_state_is_not_positive(tmp_path, capsys):
+    path = _generate(tmp_path, "star_decorated", "-d", "2", "--nu", "8")
+    qpath = _write(tmp_path, "q.json", {"2": -3e7, "3": -3e7})
+    assert main(["report", path, "-q", qpath, "-k", "8"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "non-positive component" in err
+    assert "Traceback" not in err
+
+
+def test_check_finds_the_ground_state_once(tmp_path, monkeypatch):
+    path = _generate(tmp_path, "bcc")
+    qpath = _write(tmp_path, "q.json", {"1": 0.3})
+    file_q = np.array([0.3, 0.0])
+    seen = []
+    original = estimates.perron_ground_state
+
+    def counted(graph, Q=None):
+        seen.append(np.array(Q, dtype=float))
+        return original(graph, Q)
+
+    monkeypatch.setattr(cli_io, "perron_ground_state", counted)
+    monkeypatch.setattr(estimates, "perron_ground_state", counted)
+    assert main(["check", path, "-q", qpath, "-k", "4", "--trials", "4"]) == 0
+    assert sum(np.array_equal(q, file_q) for q in seen) == 1
 
 
 def test_missing_graph_file(capsys):

@@ -6,7 +6,11 @@ import pytest
 
 from pergraph import (
     BZGrid,
+    Edge,
+    FundamentalGraph,
     GraphError,
+    Vertex,
+    assemble_schrodinger,
     build_report,
     check_bipartite,
     check_effective_mass_bound,
@@ -14,7 +18,10 @@ from pergraph import (
     check_gap_sum,
     check_loop_graph,
     check_measure_bound,
+    exact_quasimomentum,
     generate,
+    grid_eigenvalues,
+    hermitian_eigen,
     is_loop_graph,
     perron_contrast,
     perron_ground_state,
@@ -209,6 +216,53 @@ def test_loop_graph_without_exact_quasimomentum():
     assert result["left_defect"] < 1e-12
 
 
+def test_loop_graph_endpoints_stay_exact_under_a_large_potential():
+    # the endpoints are rows of the sweep table itself, so a potential of
+    # 1e7 leaves no solver-to-solver rounding in the defects
+    g = generate("star_decorated", d=2, nu=3)
+    q = np.array([1e7, 0.0, 0.0])
+    grid = BZGrid(2, 4)
+    result = check_loop_graph(g, q, grid)
+    assert result["passed"]
+    assert result["left_defect"] <= 1e-12 * 1e7
+    assert result["right_defect"] <= 1e-12 * 1e7
+    assert build_report(g, q, grid).verdicts["loop_graph"]
+
+
+def _mixed_turn_plane():
+    # loops of index (1, 0) and (1, 1): theta0 = (pi, 0), not on the diagonal
+    return FundamentalGraph(
+        dimension=2,
+        vertices=(Vertex(1),),
+        edges=(Edge(1, 1, (1, 0)), Edge(1, 1, (1, 1))),
+    )
+
+
+LOOP_GRAPHS = {
+    "-".join([name, *map(str, kw.values())]): g
+    for name, kw in CATALOG_SAMPLE
+    if is_loop_graph(g := generate(name, **kw))
+}
+LOOP_GRAPHS["mixed_turn_plane"] = _mixed_turn_plane()
+
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+@pytest.mark.parametrize("g", list(LOOP_GRAPHS.values()), ids=list(LOOP_GRAPHS))
+def test_loop_graph_reads_the_theta0_row_of_the_sweep(rng, g, k):
+    q = rng.uniform(-1, 1, g.order)
+    grid = BZGrid(g.dimension, k)
+    theta0 = exact_quasimomentum(g)
+    (row,) = np.flatnonzero(np.all(grid.thetas() == theta0, axis=1))
+    table = grid_eigenvalues(g, q, grid)
+    fiber = assemble_schrodinger(g, q, np.array(theta0))
+    lapack = hermitian_eigen(fiber, with_vectors=False).values
+    scale = max(1.0, float(np.linalg.norm(fiber)))
+    assert np.max(np.abs(table[row] - lapack)) <= 1e-12 * scale
+    result = check_loop_graph(g, q, grid)
+    assert result["right_defect"] == np.max(np.abs(table.max(axis=0) - table[row]))
+    assert result["left_defect"] == np.max(np.abs(table.min(axis=0) - table[0]))
+
+
 def test_loop_graph_rejects_other_graphs():
     with pytest.raises(GraphError, match="loop graph"):
         check_loop_graph(generate("bcc"), np.zeros(2), BZGrid(3, 4))
@@ -328,6 +382,26 @@ def test_build_report_sweeps_each_operator_once(monkeypatch, rng, name, kw):
     monkeypatch.setattr(estimates, "grid_eigenvalues", counted)
     build_report(g, rng.uniform(-1, 1, g.order), _report_grid(g))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "name, kw", [("star_decorated", dict(d=2, nu=8)), ("lattice", dict(d=2))]
+)
+def test_build_report_makes_seven_scalar_solves(monkeypatch, rng, name, kw):
+    # one for the ground state, two per effective mass, two for the margins;
+    # band endpoints come from the sweep tables
+    g = generate(name, **kw)
+    calls = []
+    original = estimates.hermitian_eigen
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "hermitian_eigen", counted)
+    monkeypatch.setattr(band_analysis, "hermitian_eigen", counted)
+    build_report(g, rng.uniform(-1, 1, g.order), _report_grid(g))
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)
