@@ -3,11 +3,13 @@
 Band endpoints are grid minima and maxima of the sorted fiber eigenvalues.
 The grid always contains both 0 and the half-turn point, where the extrema of
 all catalog families are attained, so endpoints there are exact up to solver
-rounding. The potential is real, so time reversal gives H(-theta) =
-conj H(theta), an exact certificate that both points share one spectrum:
-sweeps diagonalize one point of each {theta, -theta} pair, in grid-index
-order, and copy its row to the mirror point, so results are bit-stable and
-the table stays complete.
+rounding. `graph_core.sign_flip_classes` certifies, from the cycle indices
+of the quotient, which groups of axes can be negated without changing the
+spectrum of H(theta) for any real potential; negating all axes at once
+(time reversal, H(-theta) = conj H(theta)) is always among them. Sweeps
+diagonalize one point of each orbit of the certified sign-flip group, in
+grid-index order, and copy its row to the rest of the orbit, so results are
+bit-stable and the table stays complete.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .fiber_linalg import (
     hermitian_eigen_batch,
     potential_vector,
 )
-from .graph_core import FundamentalGraph
+from .graph_core import FundamentalGraph, sign_flip_classes
 
 FLAT_TOL = 1e-8
 MERGE_TOL = 1e-9
@@ -111,15 +113,19 @@ class EffectiveMass:
 def grid_eigenvalues(graph: FundamentalGraph, Q, grid: BZGrid) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, in grid index order.
 
-    The potential is real, so H(-theta) = conj H(theta) and both have the
-    same spectrum. Of each pair {k, -k mod K} of grid indices only the one
-    with the smaller flat index is diagonalized, and its row is copied to
-    the other: (K^d + 2^d) / 2 solves instead of K^d.
+    Negating the axes of any union of the classes P of
+    `sign_flip_classes(graph)` leaves the spectrum of H(theta) unchanged.
+    Of each orbit of that group of sign flips only the grid point with the
+    smallest flat index is diagonalized, and its row is copied to the rest
+    of the orbit: prod_P (K^|P| + 2^|P|) / 2 solves instead of K^d.
     """
+    if grid.dimension != graph.dimension:
+        raise ValueError(
+            f"grid dimension {grid.dimension} differs from graph dimension "
+            f"{graph.dimension}"
+        )
     diagonal = 1.0 + potential_vector(graph, Q)
-    keep, row = np.unique(
-        np.minimum(np.arange(grid.count), _mirror(grid)), return_inverse=True
-    )
+    keep, row = np.unique(_orbit_minimum(graph, grid), return_inverse=True)
     thetas = grid.thetas()[keep]
     solved = np.vstack(
         [
@@ -130,12 +136,21 @@ def grid_eigenvalues(graph: FundamentalGraph, Q, grid: BZGrid) -> np.ndarray:
     return solved[row]
 
 
-def _mirror(grid: BZGrid) -> np.ndarray:
-    """Flat index of the grid point -k mod K, for every grid index k."""
+def _orbit_minimum(graph: FundamentalGraph, grid: BZGrid) -> np.ndarray:
+    """Smallest flat index in the sign-flip orbit of every grid index."""
+    index = np.arange(grid.count)
+    for axes in sign_flip_classes(graph):
+        index = np.minimum(index, index[_mirror(grid, axes)])
+    return index
+
+
+def _mirror(grid: BZGrid, axes=None) -> np.ndarray:
+    """Flat index of k negated mod K on `axes` (default: all), for every k."""
     shape = (grid.points_per_axis,) * grid.dimension
-    return np.ravel_multi_index(
-        (-np.indices(shape)) % grid.points_per_axis, shape
-    ).reshape(-1)
+    steps = np.indices(shape)
+    flip = list(range(grid.dimension) if axes is None else axes)
+    steps[flip] = -steps[flip] % grid.points_per_axis
+    return np.ravel_multi_index(steps, shape).reshape(-1)
 
 
 def compute_bands(

@@ -22,6 +22,7 @@ from .band_analysis import (
     BandStructure,
     BZGrid,
     EffectiveMassError,
+    _orbit_minimum,
     bands_from_table,
     compute_bands,
     effective_mass,
@@ -44,6 +45,7 @@ from .fiber_linalg import (
     assemble_nabla,
     assemble_schrodinger,
     fibers,
+    hermitian_eigen,
     hermitian_eigen_batch,
     potential_vector,
 )
@@ -55,6 +57,7 @@ from .graph_core import (
     PeriodicDescription,
     Vertex,
     assign_indices,
+    sign_flip_classes,
     validate,
 )
 
@@ -518,6 +521,24 @@ def _ground_form_defect(
     return abs(direct - total)
 
 
+def _sign_flip_defect(
+    graph: FundamentalGraph, q: np.ndarray, theta: np.ndarray, classes
+) -> float:
+    """Largest relative eigenvalue change when one class of axes is negated."""
+    signs = np.ones((len(classes) + 1, graph.dimension))
+    for row, axes in enumerate(classes, 1):
+        signs[row, list(axes)] = -1.0
+    values = [
+        hermitian_eigen(
+            assemble_schrodinger(graph, q, s * theta), with_vectors=False
+        ).values
+        for s in signs
+    ]
+    scale = max(1.0, float(np.max(np.abs(values[0]))))
+    change = max(float(np.max(np.abs(v - values[0]))) for v in values[1:])
+    return change / scale
+
+
 def _cmd_check(args) -> int:
     graph, q = _load(args)
     grid = _grid(args, graph.dimension)
@@ -538,6 +559,8 @@ def _cmd_check(args) -> int:
     worst_fact = 0.0
     worst_quad = 0.0
     worst_ground = 0.0
+    worst_flip = 0.0
+    classes = sign_flip_classes(graph)
     floor, psi = perron_ground_state(graph, q)
     for _ in range(args.trials):
         theta = rng.uniform(-math.pi, math.pi, graph.dimension)
@@ -547,10 +570,20 @@ def _cmd_check(args) -> int:
         worst_ground = max(
             worst_ground, _ground_form_defect(graph, q, floor, psi, theta, f)
         )
+        worst_flip = max(
+            worst_flip, _sign_flip_defect(graph, q, theta, classes)
+        )
+    solved = np.unique(_orbit_minimum(graph, grid)).size
+    symmetry = (
+        "sign-flip symmetry, classes "
+        + " ".join("{" + ",".join(map(str, axes)) + "}" for axes in classes)
+        + f", {solved} of {grid.count} grid points solved"
+    )
     for label, worst in (
         ("factorization identity", worst_fact),
         ("quadratic form identity", worst_quad),
         ("ground form identity", worst_ground),
+        (symmetry, worst_flip),
     ):
         if worst <= tol:
             print(f"ok: {label} (max defect {worst:.2e})")

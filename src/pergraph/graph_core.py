@@ -332,3 +332,75 @@ def is_bipartite(
     part0 = tuple(v for v in graph.vertex_ids if color[v] == 0)
     part1 = tuple(v for v in graph.vertex_ids if color[v] == 1)
     return part0, part1
+
+
+def sign_flip_classes(graph: FundamentalGraph) -> tuple[tuple[int, ...], ...]:
+    """Axis classes that can be negated jointly without changing any spectrum.
+
+    By Sachs' theorem for gain graphs (Cvetkovic, Doob & Sachs, Spectra of
+    Graphs, 1.4), det(lambda - H(theta)) depends on theta only through
+    cos <c_C, theta> over the simple cycles C of the quotient, c_C being the
+    index sum along C. A simple cycle lies inside one block (2-connected
+    component), so c_C is a signed sum of the fundamental-cycle indices c_e
+    of that block's non-tree edges. Axes in the support of one block's c_e
+    are joined into one class; every c_C is then supported in a single
+    class, and negating all axes of any union of classes leaves each
+    cos <c_C, theta>, and with it the spectrum of H(theta), unchanged for
+    every real potential. Cycle indices do not depend on the cell chosen
+    for each vertex, and neither do the classes. An axis on no cycle is a
+    class of its own; classes are listed by their smallest axis.
+    """
+    incidence: dict[VertexId, list] = {v: [] for v in graph.vertex_ids}
+    for k, e in enumerate(graph.edges):
+        incidence[e.tail].append((k, e.head, e.index))
+        incidence[e.head].append((k, e.tail, e.reverse().index))
+    # breadth-first spanning forest: cell, depth and (parent, edge) per vertex
+    cell: dict[VertexId, tuple[int, ...]] = {}
+    depth: dict[VertexId, int] = {}
+    parent: dict[VertexId, tuple[VertexId, int]] = {}
+    for root in graph.vertex_ids:
+        if root in cell:
+            continue
+        cell[root], depth[root] = (0,) * graph.dimension, 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for k, w, step in incidence[u]:
+                if w not in cell:
+                    cell[w] = tuple(a + b for a, b in zip(cell[u], step))
+                    depth[w], parent[w] = depth[u] + 1, (u, k)
+                    queue.append(w)
+    tree = {k for _, k in parent.values()}
+    # the edges of each fundamental cycle lie in one block
+    block = list(range(len(graph.edges)))
+    support = []
+    for k, e in enumerate(graph.edges):
+        if k in tree:
+            continue
+        u, w = e.tail, e.head
+        while u != w:
+            if depth[u] < depth[w]:
+                u, w = w, u
+            u, edge = parent[u]
+            block[_find(block, edge)] = _find(block, k)
+        c = (i + a - b for i, a, b in zip(e.index, cell[e.tail], cell[e.head]))
+        support.append((k, [j for j, cj in enumerate(c) if cj]))
+    # the axes of each block's cycle indices lie in one class
+    axes = list(range(graph.dimension))
+    first_axis: dict[int, int] = {}
+    for k, members in support:
+        for j in members:
+            first = first_axis.setdefault(_find(block, k), j)
+            axes[_find(axes, j)] = _find(axes, first)
+    classes: dict[int, list[int]] = {}
+    for j in range(graph.dimension):
+        classes.setdefault(_find(axes, j), []).append(j)
+    return tuple(sorted(tuple(members) for members in classes.values()))
+
+
+def _find(parent: list[int], k: int) -> int:
+    """Union-find root of k, halving the path on the way."""
+    while parent[k] != k:
+        parent[k] = parent[parent[k]]
+        k = parent[k]
+    return k

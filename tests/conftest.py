@@ -63,6 +63,48 @@ def even_loop_line():
     )
 
 
+def mixed_class_space():
+    """Two vertices in d=3 whose sign-flip classes are {0} and {1, 2}.
+
+    A loop of index (1, 0, 0) at vertex 1 is one block; three edges 1-2 of
+    indices 0, (0, 1, 0) and (0, 0, 1) form a second block whose cycles
+    carry (0, 1, 0), (0, 0, 1) and (0, 1, -1), so axes 1 and 2 flip only
+    together.
+    """
+    return FundamentalGraph(
+        dimension=3,
+        vertices=(Vertex(1), Vertex(2)),
+        edges=(
+            Edge(1, 1, (1, 0, 0)),
+            Edge(1, 2, (0, 0, 0)),
+            Edge(1, 2, (0, 1, 0)),
+            Edge(1, 2, (0, 0, 1)),
+        ),
+    )
+
+
+def random_periodic_graph(rng, d: int, nu: int) -> FundamentalGraph:
+    """Connected quotient on nu vertices with indices in {-1, 0, 1}^d.
+
+    A random spanning tree plus up to nu + 1 further edges, loops included,
+    and a potential drawn from U(-2, 2).
+    """
+    vertices = tuple(
+        Vertex(k, float(rng.uniform(-2.0, 2.0))) for k in range(1, nu + 1)
+    )
+
+    def index():
+        return tuple(int(c) for c in rng.integers(-1, 2, d))
+
+    edges = [
+        Edge(int(rng.integers(1, k)), k, index()) for k in range(2, nu + 1)
+    ]
+    for _ in range(int(rng.integers(1, nu + 2))):
+        tail, head = (int(v) for v in rng.integers(1, nu + 1, 2))
+        edges.append(Edge(tail, head, index()))
+    return FundamentalGraph(d, vertices, tuple(edges))
+
+
 def chain_description():
     """Two-vertex cycle through neighboring cells, given as raw bonds."""
     return PeriodicDescription(

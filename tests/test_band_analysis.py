@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import pergraph.band_analysis as band_analysis
 from pergraph.fiber_linalg import fibers
+from pergraph.graph_core import sign_flip_classes
 from pergraph import (
     Band,
     BandStructure,
@@ -20,7 +22,12 @@ from pergraph import (
     spectrum_union,
 )
 
-from conftest import CATALOG_SAMPLE, single_loop_plane
+from conftest import (
+    CATALOG_SAMPLE,
+    mixed_class_space,
+    random_periodic_graph,
+    single_loop_plane,
+)
 from oracles import (
     FCC_EDGES,
     bcc_band_edges,
@@ -240,10 +247,9 @@ def test_mirror_is_an_involution_fixing_the_half_turn_points(d, k):
     assert np.array_equal(steps[mirror], -steps % k)
 
 
-@pytest.mark.parametrize("d, k", [(1, 8), (2, 4), (2, 8), (3, 2), (3, 4)])
-def test_grid_sweep_solves_one_point_per_mirror_pair(monkeypatch, d, k):
-    g = generate("lattice", d=d)
-    seen = []
+def _count_solves(monkeypatch) -> list[int]:
+    """Record the stack size of every batched solve made by a sweep."""
+    seen: list[int] = []
     original = band_analysis.hermitian_eigen_batch
 
     def counted(matrices):
@@ -251,9 +257,110 @@ def test_grid_sweep_solves_one_point_per_mirror_pair(monkeypatch, d, k):
         return original(matrices)
 
     monkeypatch.setattr(band_analysis, "hermitian_eigen_batch", counted)
+    return seen
+
+
+@pytest.mark.parametrize("d, k", [(1, 8), (2, 4), (2, 8), (3, 2), (3, 4)])
+def test_grid_sweep_solves_one_point_per_mirror_pair(monkeypatch, d, k):
+    g = generate("lattice", d=d)
+    seen = _count_solves(monkeypatch)
     table = grid_eigenvalues(g, np.zeros(1), BZGrid(d, k))
     assert table.shape == (k**d, 1)
-    assert sum(seen) == (k**d + 2**d) // 2
+    # every axis of the lattice is its own sign-flip class
+    assert sum(seen) == (k // 2 + 1) ** d
+
+
+@pytest.mark.parametrize("name", ["bcc", "fcc"])
+@pytest.mark.parametrize("k", [4, 8])
+def test_grid_sweep_keeps_the_half_sweep_on_one_class(monkeypatch, name, k):
+    g = generate(name)
+    seen = _count_solves(monkeypatch)
+    table = grid_eigenvalues(g, np.zeros(g.order), BZGrid(3, k))
+    assert table.shape == (k**3, g.order)
+    assert sum(seen) == (k**3 + 8) // 2
+
+
+def test_grid_sweep_solves_one_point_per_sign_flip_orbit(monkeypatch):
+    g = generate("subdivided", d=3, n=4)
+    seen = _count_solves(monkeypatch)
+    table = grid_eigenvalues(g, np.zeros(g.order), BZGrid(3, 12))
+    assert table.shape == (12**3, 13)
+    assert sum(seen) == 7**3
+
+
+def test_mixed_classes_sweep_matches_the_full_sweep(monkeypatch, rng):
+    g = mixed_class_space()
+    q = rng.uniform(-2.0, 2.0, g.order)
+    grid = BZGrid(3, 4)
+    seen = _count_solves(monkeypatch)
+    table = grid_eigenvalues(g, q, grid)
+    assert sum(seen) == 3 * 10
+    full = np.linalg.eigvalsh(fibers(g, grid.thetas(), 1.0 + q))
+    scale = max(1.0, float(np.max(np.abs(full))))
+    assert np.max(np.abs(table - full)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_partial_mirror_negates_only_its_axes(d, k):
+    grid = BZGrid(d, k)
+    steps = np.indices((k,) * d).reshape(d, -1).T
+    for axes in itertools.chain.from_iterable(
+        itertools.combinations(range(d), r) for r in range(d + 1)
+    ):
+        mirror = band_analysis._mirror(grid, axes)
+        want = steps.copy()
+        want[:, list(axes)] = -want[:, list(axes)] % k
+        assert np.array_equal(steps[mirror], want)
+    assert np.array_equal(
+        band_analysis._mirror(grid, range(d)), band_analysis._mirror(grid)
+    )
+
+
+def test_grid_dimension_must_match_the_graph():
+    with pytest.raises(ValueError, match="grid dimension 2 differs"):
+        grid_eigenvalues(generate("bcc"), np.zeros(2), BZGrid(2, 4))
+
+
+def _certified_flips(graph):
+    """Every nonempty union of sign-flip classes, as a list of axes."""
+    classes = sign_flip_classes(graph)
+    for chosen in itertools.product((False, True), repeat=len(classes)):
+        axes = [j for axes, on in zip(classes, chosen) if on for j in axes]
+        if axes:
+            yield axes
+
+
+def _check_random_graphs(seed: int, count: int) -> None:
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, 4))
+        g = random_periodic_graph(rng, d, int(rng.integers(1, 6)))
+        diagonal = 1.0 + np.array(g.potentials)
+        thetas = rng.uniform(-math.pi, math.pi, (6, d))
+        values = np.linalg.eigvalsh(fibers(g, thetas, diagonal))
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(values))))
+        for axes in _certified_flips(g):
+            flipped = thetas.copy()
+            flipped[:, axes] *= -1.0
+            moved = np.linalg.eigvalsh(fibers(g, flipped, diagonal))
+            assert np.max(np.abs(moved - values)) <= tol, (g, axes)
+        grid = BZGrid(d, 4 if d == 3 else 6)
+        table = grid_eigenvalues(g, None, grid)
+        full = band_analysis.hermitian_eigen_batch(
+            fibers(g, grid.thetas(), diagonal)
+        )
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(full))))
+        assert np.max(np.abs(table - full)) <= tol, g
+
+
+def test_certified_flips_keep_the_spectrum_of_random_graphs():
+    _check_random_graphs(seed=1, count=100)
+
+
+@pytest.mark.slow
+def test_certified_flips_keep_the_spectrum_of_many_random_graphs():
+    _check_random_graphs(seed=2, count=1000)
 
 
 @pytest.mark.parametrize("name, kw", CATALOG_SAMPLE)

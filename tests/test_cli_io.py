@@ -17,7 +17,7 @@ from pergraph.cli_io import (
     write_path_csv,
 )
 
-from conftest import single_loop_plane
+from conftest import diagonal_loop_plane, mixed_class_space, single_loop_plane
 from oracles import FCC_EDGES, bcc_band_edges, bisect_eigenvalues
 
 
@@ -291,6 +291,34 @@ def test_check_warns_on_rank_deficient_bridges(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "warning: bridge indices span rank 1 of 2 directions" in text
     assert "all checks passed" in text
+
+
+def test_check_reports_the_sign_flip_classes(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    with path.open("w", encoding="utf-8") as handle:
+        write_graph(mixed_class_space(), handle)
+    assert main(["check", str(path), "-k", "4", "--trials", "4"]) == 0
+    text = capsys.readouterr().out
+    assert (
+        "ok: sign-flip symmetry, classes {0} {1,2}, "
+        "30 of 64 grid points solved (max defect "
+    ) in text
+    assert "all checks passed" in text
+
+
+def test_check_fails_a_wrong_sign_flip_certificate(
+    tmp_path, capsys, monkeypatch
+):
+    # the only cycle winds around (1, 1), so axis 0 cannot flip alone
+    path = tmp_path / "diagonal.json"
+    with path.open("w", encoding="utf-8") as handle:
+        write_graph(diagonal_loop_plane(), handle)
+    monkeypatch.setattr(
+        cli_io, "sign_flip_classes", lambda graph: ((0,), (1,))
+    )
+    assert main(["check", str(path), "-k", "4", "--trials", "4"]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL: sign-flip symmetry, classes {0} {1}, " in text
 
 
 def test_mass_json_for_lattice(tmp_path, capsys):

@@ -19,8 +19,15 @@ from pergraph import (
     validate,
     zeta,
 )
+from pergraph.graph_core import sign_flip_classes
 
-from conftest import chain_description, even_loop_line, single_loop_plane
+from conftest import (
+    CATALOG_SAMPLE,
+    chain_description,
+    even_loop_line,
+    mixed_class_space,
+    single_loop_plane,
+)
 
 
 def test_validate_accepts_catalog_graphs():
@@ -227,3 +234,54 @@ def test_single_loop_plane_is_valid_but_rank_deficient():
     assert validate(g) == []
     spans = {e.index for e in bridges(g).directed}
     assert spans == {(1, 0), (-1, 0)}
+
+
+@pytest.mark.parametrize(
+    "name, kw, classes",
+    [
+        ("lattice", dict(d=1), ((0,),)),
+        ("lattice", dict(d=3), ((0,), (1,), (2,))),
+        ("star_decorated", dict(d=2, nu=8), ((0,), (1,))),
+        ("star_decorated", dict(d=3, nu=3), ((0,), (1,), (2,))),
+        ("subdivided", dict(d=3, n=4), ((0,), (1,), (2,))),
+        ("bcc", {}, ((0, 1, 2),)),
+        ("fcc", {}, ((0, 1, 2),)),
+    ],
+)
+def test_sign_flip_classes_of_catalog_graphs(name, kw, classes):
+    assert sign_flip_classes(generate(name, **kw)) == classes
+
+
+def test_sign_flip_classes_split_by_block():
+    assert sign_flip_classes(mixed_class_space()) == ((0,), (1, 2))
+    # an axis that no cycle winds around is a class of its own
+    assert sign_flip_classes(single_loop_plane()) == ((0,), (1,))
+
+
+def _shifted(graph, vertex, shift):
+    """The same periodic graph with `vertex` moved into the cell `shift`."""
+
+    def moved(e):
+        sign = (e.tail == vertex) - (e.head == vertex)
+        return Edge(
+            e.tail, e.head, tuple(i + sign * s for i, s in zip(e.index, shift))
+        )
+
+    return FundamentalGraph(
+        graph.dimension, graph.vertices, tuple(moved(e) for e in graph.edges)
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [generate(name, **kw) for name, kw in CATALOG_SAMPLE]
+    + [mixed_class_space()],
+)
+def test_sign_flip_classes_do_not_depend_on_the_cell_choice(graph):
+    classes = sign_flip_classes(graph)
+    for vertex in graph.vertex_ids:
+        for axis in range(graph.dimension):
+            shift = tuple(int(j == axis) for j in range(graph.dimension))
+            moved = _shifted(graph, vertex, shift)
+            assert moved.edges != graph.edges or graph.order == 1
+            assert sign_flip_classes(moved) == classes
